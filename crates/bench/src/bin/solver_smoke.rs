@@ -1,21 +1,19 @@
-//! `solver_smoke` — the CI gate for the decomposed ADMM E^OPT solver.
+//! `solver_smoke` — the CI gate for the decomposed ADMM E^OPT solver and
+//! the exact min-cut solver it cross-checks.
 //!
-//! Three checks at n = 4096 (grid-snapped `WorkloadSpec::large_n`, the
-//! scale where a full interior-point solve takes minutes), all fatal on
-//! failure:
+//! Three checks at n = 4096 (grid-snapped `WorkloadSpec::large_n`), all
+//! fatal on failure:
 //!
 //! 1. **Fig8-style cores sweep certifies**: every point of the
 //!    `m ∈ {2, 4, 6, 8, 10, 12}` sweep (`α = 3`, `p₀ = 0.2`), solved by
 //!    [`solve_admm_in`] with the primal *and dual* point warm-chained
 //!    between sweep positions, must converge AND pass the independent
-//!    KKT certificate at 1e-5 — the same bar every serial solver is held
-//!    to.
-//! 2. **≥5× vs interior point**: the best-of-3 cold ADMM solve at
-//!    `m = 4` must beat the best-of-3 interior-point time by at least
-//!    5×. The interior-point runs are iteration-capped to keep the job
-//!    bounded: a capped run that is *still* slower than 5× ADMM without
-//!    having converged lower-bounds the full solve, so the comparison
-//!    stays honest while CI stays minutes, not hours.
+//!    KKT certificate at 1e-5.
+//! 2. **Exact ground truth**: [`solve_exact`] must pass the KKT
+//!    certificate at 1e-9 at `m = 4`; every sweep point's ADMM objective
+//!    must lie within 2e-5 relative of the exact optimum of the same
+//!    instance; and the exact solve at `m = 4` must be at least 5× faster
+//!    than the best-of-3 cold ADMM solve.
 //! 3. **Byte-identity across worker counts**: the cold `m = 4` solve
 //!    repeated on explicit 1-, 4-, and 8-worker pools must agree
 //!    bit-for-bit in primal, dual, objective, gap, and iteration count.
@@ -24,7 +22,7 @@
 //!    creates implicitly; the explicit pools cover 1 and 8 regardless.
 
 use esched_core::Pool;
-use esched_opt::{kkt_report, solve_admm_in, EnergyProgram, SolveOptions, SolverKind};
+use esched_opt::{kkt_report, solve_admm_in, solve_exact, EnergyProgram, SolveOptions};
 use esched_subinterval::Timeline;
 use esched_types::PolynomialPower;
 use esched_workload::WorkloadSpec;
@@ -33,11 +31,11 @@ use std::time::Instant;
 const N: usize = 4096;
 const SWEEP_CORES: [usize; 6] = [2, 4, 6, 8, 10, 12];
 const KKT_TOL: f64 = 1e-5;
+const EXACT_KKT_TOL: f64 = 1e-9;
+/// ADMM's objective must sit within this relative distance of the exact
+/// optimum at every sweep point.
+const AGREEMENT_TOL: f64 = 2e-5;
 const MIN_SPEEDUP: f64 = 5.0;
-/// Iteration cap for the interior-point reference runs (check 2): enough
-/// Newton steps to prove the 5× bound one way or the other at this size,
-/// small enough to keep the job bounded.
-const IP_ITER_CAP: usize = 10;
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -51,6 +49,7 @@ fn main() {
 
     // --- 1. fig8-style cores sweep, every point KKT-certified ---
     let mut warm: Option<(Vec<f64>, Vec<f64>)> = None;
+    let mut sweep = Vec::new();
     for cores in SWEEP_CORES {
         let ep = EnergyProgram::new(&tasks, &tl, cores, power);
         let mut opts = SolveOptions::fast();
@@ -76,12 +75,35 @@ fn main() {
             "solver_smoke: cores={cores} certified in {wall:.2}s ({} iters, obj {:.6e})",
             r.iters, r.objective
         );
+        sweep.push((cores, r.objective));
         let dual = r.dual.clone().expect("admm returns its dual point");
         warm = Some((r.x, dual));
     }
 
-    // --- 2. >=5x vs interior point, best of 3, m = 4 ---
+    // --- 2. exact ground truth: certificate, agreement, >=5x vs ADMM ---
+    for (cores, admm_objective) in sweep {
+        let ep = EnergyProgram::new(&tasks, &tl, cores, power);
+        let exact = solve_exact(&ep);
+        let rel = (admm_objective - exact.objective).abs() / exact.objective.abs();
+        assert!(
+            rel <= AGREEMENT_TOL,
+            "cores={cores}: admm {admm_objective:.12e} vs exact {:.12e} \
+             (relative {rel:.2e} > {AGREEMENT_TOL:e})",
+            exact.objective
+        );
+        println!("solver_smoke: cores={cores} admm within {rel:.2e} of exact");
+    }
     let ep = EnergyProgram::new(&tasks, &tl, 4, power);
+    let t0 = Instant::now();
+    let exact = solve_exact(&ep);
+    let exact_wall = t0.elapsed().as_secs_f64();
+    let kkt = kkt_report(&ep, &exact.x);
+    assert!(
+        kkt.is_optimal(EXACT_KKT_TOL),
+        "exact at m=4: KKT certificate failed (residual {:e}, gap {:e})",
+        kkt.projected_gradient_residual,
+        kkt.duality_gap
+    );
     let mut admm_best = f64::INFINITY;
     for _ in 0..3 {
         let t0 = Instant::now();
@@ -90,34 +112,16 @@ fn main() {
         assert!(r.converged, "cold admm at m=4 did not converge");
         admm_best = admm_best.min(wall);
     }
-    let mut ip_best = f64::INFINITY;
-    let mut ip_converged = false;
-    for _ in 0..3 {
-        let mut opts = SolveOptions::fast();
-        opts.max_iters = IP_ITER_CAP;
-        let t0 = Instant::now();
-        let r = SolverKind::InteriorPoint.solve(&ep, &opts);
-        let wall = t0.elapsed().as_secs_f64();
-        ip_best = ip_best.min(wall);
-        ip_converged |= r.converged;
-    }
-    let speedup = ip_best / admm_best;
-    // A capped, non-converged interior-point run lower-bounds the full
-    // solve; if even that is 5x slower the claim holds with margin.
+    let speedup = admm_best / exact_wall;
     assert!(
         speedup >= MIN_SPEEDUP,
-        "admm best {admm_best:.2}s vs interior-point best {ip_best:.2}s \
-         (capped at {IP_ITER_CAP} iters, converged: {ip_converged}): \
+        "exact {exact_wall:.2}s vs admm best {admm_best:.2}s: \
          speedup {speedup:.1}x < {MIN_SPEEDUP}x"
     );
     println!(
-        "solver_smoke: admm {admm_best:.2}s vs interior-point {ip_best:.2}s \
-         ({}) -> {speedup:.1}x (>= {MIN_SPEEDUP}x required)",
-        if ip_converged {
-            "full solve"
-        } else {
-            "lower bound, iteration-capped"
-        }
+        "solver_smoke: exact {exact_wall:.2}s ({} max-flows, gap {:.1e}) vs admm best \
+         {admm_best:.2}s -> {speedup:.1}x (>= {MIN_SPEEDUP}x required)",
+        exact.iters, kkt.duality_gap
     );
 
     // --- 3. byte-identity at 1, 4, 8 workers ---

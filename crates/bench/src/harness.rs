@@ -1,17 +1,13 @@
 //! Deterministic benchmark harness behind the `benchjson` binary.
 //!
-//! Criterion's statistical machinery is great interactively but awkward
-//! for regression gating: sample counts adapt to noise, output lands in
-//! `target/criterion`, and nothing ties a run to a commit. This module
-//! runs a small curated subset of the bench suite with *fixed* iteration
-//! counts, records wall-time percentiles plus a metrics-registry delta
-//! per entry, and serializes everything into the stable `BENCH_*.json`
-//! schema that `benchjson --compare` diffs.
+//! This module runs a curated bench suite with *fixed* iteration counts
+//! (so runs are comparable and gateable), records wall-time percentiles
+//! plus a metrics-registry delta per entry, and serializes everything
+//! into the stable `BENCH_*.json` schema that `benchjson --compare`
+//! diffs.
 //!
-//! The curated entries mirror `benches/micro_primitives.rs`,
-//! `benches/runtime_scaling.rs`, and `benches/solver_ablation.rs` — same
-//! fixtures, same seeds — so a regression flagged here reproduces under
-//! `cargo bench` for a closer look.
+//! Every entry uses a fixed fixture and seed, so a regression flagged
+//! here reproduces by rerunning `benchjson --filter <name>`.
 
 use crate::paper_tasks;
 use esched_core::{
@@ -23,10 +19,7 @@ use esched_obs::health::SloPolicy;
 use esched_obs::json::Value;
 use esched_obs::stats::Summary;
 use esched_obs::{metrics, report};
-use esched_opt::{
-    solve_admm_in, solve_fista, solve_frank_wolfe, solve_pgd, EnergyProgram, SolveOptions,
-    SolverKind,
-};
+use esched_opt::{solve_admm_in, solve_exact, EnergyProgram, SolveOptions, SolverKind};
 use esched_subinterval::Timeline;
 use esched_types::{validate_schedule, PolynomialPower, Schedule};
 use esched_workload::WorkloadSpec;
@@ -85,10 +78,9 @@ pub struct BenchResult {
     pub metrics: metrics::Snapshot,
 }
 
-/// The curated suite: a fast-running subset of the criterion benches
-/// (micro-primitives, runtime scaling, solver ablation, online replan)
-/// with fixed seeds and iteration counts. A couple dozen entries, a few
-/// seconds total in release.
+/// The curated suite (micro-primitives, runtime scaling, solver ablation,
+/// online replan) with fixed seeds and iteration counts. A few dozen
+/// entries, a few minutes total in release.
 pub fn curated_suite() -> Vec<CuratedBench> {
     let power = PolynomialPower::paper(3.0, 0.1);
     let mut suite: Vec<CuratedBench> = Vec::new();
@@ -329,13 +321,13 @@ pub fn curated_suite() -> Vec<CuratedBench> {
         });
     }
 
-    // --- solver_ablation subset (same program, three first-order methods) ---
+    // --- solver ablation (same program, every SolverKind) ---
     let tasks20 = paper_tasks(20, 7);
     let tl20 = Timeline::build(&tasks20);
-    for (name, which) in [
-        ("ablation/pgd/20", 0usize),
-        ("ablation/fista/20", 1),
-        ("ablation/frank_wolfe/20", 2),
+    for (name, kind) in [
+        ("ablation/pgd/20", SolverKind::ProjectedGradient),
+        ("ablation/admm/20", SolverKind::Admm),
+        ("ablation/exact/20", SolverKind::Exact),
     ] {
         let (tasks, tl, p) = (tasks20.clone(), tl20.clone(), power);
         suite.push(CuratedBench {
@@ -343,13 +335,7 @@ pub fn curated_suite() -> Vec<CuratedBench> {
             iters: 15,
             run: Box::new(move || {
                 let ep = EnergyProgram::new(&tasks, &tl, 4, p);
-                let opts = SolveOptions::fast();
-                let obj = match which {
-                    0 => solve_pgd(&ep, ep.initial_point(), &opts).objective,
-                    1 => solve_fista(&ep, ep.initial_point(), &opts).objective,
-                    _ => solve_frank_wolfe(&ep, ep.initial_point(), &opts).objective,
-                };
-                black_box(obj);
+                black_box(kind.solve(&ep, &SolveOptions::fast()).objective);
             }),
         });
     }
@@ -399,12 +385,11 @@ pub fn curated_suite() -> Vec<CuratedBench> {
     // solver's per-task fan-out runs on an 8-worker pool; chunking is
     // deterministic, so these entries gate despite their size — the work
     // per iteration is a fixed, machine-independent iteration count.
-    // `opt/interior_point/4096` is the serial Newton-step cost anchor for
-    // the same sweep: `max_iters = 1` bounds it to one factorization per
-    // sweep point (a full interior-point solve at this size takes minutes,
-    // and one step is the stable unit to track). It stays advisory; the
-    // ≥5x end-to-end speedup claim is asserted by the `solver_smoke`
-    // binary, not by this timing.
+    // `opt/exact/*` time one exact min-cut solve on each workload regime:
+    // the paper workload at n=512, m=8 (~0.41·n² cells) and the
+    // grid-snapped `large_n` instance at n=4096, m=4 (~7n cells, the
+    // `solver_smoke` instance). They stay advisory; the ≥5x speedup over
+    // ADMM is asserted by the `solver_smoke` binary, not by this timing.
     {
         let pool = Pool::with_threads(8);
         for (name, n, iters) in [
@@ -439,24 +424,26 @@ pub fn curated_suite() -> Vec<CuratedBench> {
                 }),
             });
         }
-        {
+        let paper_512: fn() -> esched_types::TaskSet = || paper_tasks(512, 3);
+        let large_n_4096: fn() -> esched_types::TaskSet =
+            || WorkloadSpec::large_n(4096).instantiate(3);
+        for (name, cores, build) in [
+            ("opt/exact/paper_512", 8usize, paper_512),
+            ("opt/exact/large_n_4096", 4, large_n_4096),
+        ] {
             let p = power;
             let mut fixture: Option<(esched_types::TaskSet, Timeline)> = None;
             suite.push(CuratedBench {
-                name: "opt/interior_point/4096",
+                name,
                 iters: 2,
                 run: Box::new(move || {
                     let (tasks, tl) = fixture.get_or_insert_with(|| {
-                        let tasks = WorkloadSpec::large_n(4096).instantiate(3);
+                        let tasks = build();
                         let tl = Timeline::build(&tasks);
                         (tasks, tl)
                     });
-                    for cores in [2usize, 4, 8, 16] {
-                        let ep = EnergyProgram::new(tasks, tl, cores, p);
-                        let mut opts = SolveOptions::fast();
-                        opts.max_iters = 1;
-                        black_box(SolverKind::InteriorPoint.solve(&ep, &opts).objective);
-                    }
+                    let ep = EnergyProgram::new(tasks, tl, cores, p);
+                    black_box(solve_exact(&ep).objective);
                 }),
             });
         }
@@ -871,17 +858,16 @@ mod tests {
     }
 
     #[test]
-    fn admm_entries_gate_and_interior_point_anchor_is_advisory() {
+    fn admm_entries_gate_and_exact_entries_are_advisory() {
         let suite = curated_suite();
         for name in ["opt/admm/1024", "opt/admm/4096", "opt/admm/16k"] {
             assert!(suite.iter().any(|b| b.name == name), "{name} missing");
             assert!(gating(name), "{name} must gate");
         }
-        assert!(suite.iter().any(|b| b.name == "opt/interior_point/4096"));
-        assert!(
-            !gating("opt/interior_point/4096"),
-            "anchor must stay advisory"
-        );
+        for name in ["opt/exact/paper_512", "opt/exact/large_n_4096"] {
+            assert!(suite.iter().any(|b| b.name == name), "{name} missing");
+            assert!(!gating(name), "{name} must stay advisory");
+        }
         // The serial-solver sweeps stay advisory too.
         assert!(!gating("opt/warm_vs_cold/fig8"));
     }

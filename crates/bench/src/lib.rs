@@ -1,36 +1,18 @@
-//! Shared fixtures for the criterion benches.
+//! The curated benchmark suite ([`harness`], run by the `benchjson`
+//! binary), its shared fixtures, and the CI smoke-gate binaries.
 //!
-//! Each bench regenerates the computation behind one of the paper's
-//! tables/figures (one Monte-Carlo point, not the full 100-trial sweep —
-//! the sweep lives in `esched-experiments`) and measures its runtime.
 //! This is where the paper's "lightweight, suitable for real-time
 //! systems" claim becomes a measured number: the heuristics must sit
 //! orders of magnitude below the convex solver.
 
 use esched_types::TaskSet;
-use esched_workload::{GeneratorConfig, IntensityDist, WorkloadGenerator};
+use esched_workload::{GeneratorConfig, WorkloadGenerator};
 
 pub mod harness;
 
 /// A deterministic paper-style task set with `n` tasks.
 pub fn paper_tasks(n: usize, seed: u64) -> TaskSet {
     WorkloadGenerator::new(GeneratorConfig::paper_default().with_tasks(n), seed).generate()
-}
-
-/// A deterministic paper-style task set with a custom intensity range.
-pub fn intensity_tasks(n: usize, lo: f64, seed: u64) -> TaskSet {
-    WorkloadGenerator::new(
-        GeneratorConfig::paper_default()
-            .with_tasks(n)
-            .with_intensity(IntensityDist::Uniform { lo, hi: 1.0 }),
-        seed,
-    )
-    .generate()
-}
-
-/// A deterministic XScale-configured task set.
-pub fn xscale_tasks(n: usize, seed: u64) -> TaskSet {
-    WorkloadGenerator::new(GeneratorConfig::xscale_default().with_tasks(n), seed).generate()
 }
 
 #[cfg(test)]
@@ -40,7 +22,5 @@ mod tests {
     #[test]
     fn fixtures_are_deterministic() {
         assert_eq!(paper_tasks(10, 1), paper_tasks(10, 1));
-        assert_eq!(xscale_tasks(10, 1), xscale_tasks(10, 1));
-        assert_eq!(intensity_tasks(10, 0.5, 1), intensity_tasks(10, 0.5, 1));
     }
 }

@@ -106,7 +106,7 @@ fn online_shift_within_tolerance_of_existing_boundary() {
 /// Class `panic`: two tasks whose subnormal-scale requirements round the
 /// DER total to ~0, so proportional shares allocated nothing and
 /// `final_assignment` hit its "no available execution time" assert.
-/// Fixed by the even-split fallback in `allocate_der` when the remaining
+/// Fixed by the even-split fallback in DER allocation when the remaining
 /// DER mass is below EPS, plus clamping `A_i` before the frequency solve.
 #[test]
 fn panic_der_allocation_with_subnormal_requirements() {

@@ -37,8 +37,8 @@
 use std::ops::Range;
 
 use crate::ideal::IdealSolution;
-use crate::pool::{Pool, ScratchPool};
 use crate::scratch::Scratch;
+use crate::Pool;
 use esched_obs::{event, metric_counter, span, Level};
 use esched_subinterval::Timeline;
 use esched_types::time::{Interval, EPS};
@@ -852,7 +852,7 @@ fn fill_columns_parallel(
         jobs.push((range, cut, slab));
         cut = end;
     }
-    let results = pool.batch_map(jobs, |scratch, (range, base, slab)| {
+    let results = pool.batch_map_with(Scratch::new, jobs, |scratch, (range, base, slab)| {
         let mut local = WaterfillStats::default();
         fill_columns(
             timeline,
@@ -1133,57 +1133,6 @@ fn allocate_no_redistribution_impl(
         }
     }
     avail
-}
-
-/// Former entry point; the water-fill strategy with owned buffers.
-#[deprecated(note = "use `allocate(AllocRequest::new(tasks, timeline, cores, ideal))`")]
-pub fn allocate_der(
-    tasks: &TaskSet,
-    timeline: &Timeline,
-    cores: usize,
-    ideal: &IdealSolution,
-) -> AvailMatrix {
-    allocate(AllocRequest::new(tasks, timeline, cores, ideal))
-}
-
-/// Former entry point; the water-fill strategy reusing `scratch`.
-#[deprecated(
-    note = "use `allocate(AllocRequest::new(tasks, timeline, cores, ideal).with_scratch(scratch))`"
-)]
-pub fn allocate_der_with(
-    tasks: &TaskSet,
-    timeline: &Timeline,
-    cores: usize,
-    ideal: &IdealSolution,
-    scratch: &mut Scratch,
-) -> AvailMatrix {
-    allocate(AllocRequest::new(tasks, timeline, cores, ideal).with_scratch(scratch))
-}
-
-/// Former entry point; the round-based ground truth.
-#[deprecated(note = "use `allocate(AllocRequest::new(..).strategy(DerStrategy::Reference))`")]
-pub fn allocate_der_reference(
-    tasks: &TaskSet,
-    timeline: &Timeline,
-    cores: usize,
-    ideal: &IdealSolution,
-) -> AvailMatrix {
-    allocate(AllocRequest::new(tasks, timeline, cores, ideal).strategy(DerStrategy::Reference))
-}
-
-/// Former entry point; the no-redistribution ablation.
-#[deprecated(
-    note = "use `allocate(AllocRequest::new(..).strategy(DerStrategy::NoRedistribution))`"
-)]
-pub fn allocate_der_no_redistribution(
-    tasks: &TaskSet,
-    timeline: &Timeline,
-    cores: usize,
-    ideal: &IdealSolution,
-) -> AvailMatrix {
-    allocate(
-        AllocRequest::new(tasks, timeline, cores, ideal).strategy(DerStrategy::NoRedistribution),
-    )
 }
 
 /// Outcome counters of one [`reallocate_der_patched`] call.
@@ -1843,30 +1792,6 @@ mod tests {
             );
             assert_eq!(pooled, serial, "{threads} workers");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_forwarders_match_the_unified_entry_point() {
-        let ts = vd_tasks();
-        let tl = Timeline::build(&ts);
-        let ideal = ideal_schedule(&ts, &PolynomialPower::cubic());
-        let unified = alloc_der(&ts, &tl, 4, &ideal);
-        assert_eq!(allocate_der(&ts, &tl, 4, &ideal), unified);
-        assert_eq!(
-            allocate_der_with(&ts, &tl, 4, &ideal, &mut Scratch::new()),
-            unified
-        );
-        assert_eq!(
-            allocate_der_reference(&ts, &tl, 4, &ideal),
-            allocate(AllocRequest::new(&ts, &tl, 4, &ideal).strategy(DerStrategy::Reference))
-        );
-        assert_eq!(
-            allocate_der_no_redistribution(&ts, &tl, 4, &ideal),
-            allocate(
-                AllocRequest::new(&ts, &tl, 4, &ideal).strategy(DerStrategy::NoRedistribution)
-            )
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! thousands of instances while touching the allocator only when an
 //! instance outgrows every previous one.
 //!
-//! The allocating entry points (`der_schedule`, `allocate_der`, …) are
+//! The allocating entry points (`der_schedule`, `even_schedule`, …) are
 //! thin wrappers over their `_with` twins with a fresh `Scratch`, so
 //! one-shot callers never see this type.
 

@@ -2,14 +2,14 @@
 //!
 //! The pool machinery itself (per-worker deques, steal-from-back,
 //! submission-order results, per-worker [`Scratch`] arenas, panic
-//! isolation) lives in [`esched_core::pool`] so the allocator can also
+//! isolation) lives in [`esched_obs::pool`] so the allocator can also
 //! fan one instance's columns across it; [`Engine`] is the
 //! request/outcome wrapper the service layer uses: same sizing rules,
 //! same determinism contract (results indexed by submission order, so
 //! the output is identical regardless of worker count or steal
 //! interleaving — the property the determinism test pins).
 
-use esched_core::{Pool, PoolError, Scratch, ScratchPool};
+use esched_core::{Pool, PoolError, Scratch};
 
 use crate::config::ScheduleRequest;
 use crate::exec::execute;
@@ -71,7 +71,7 @@ impl Engine {
     /// panic isolation as a batch.
     pub fn run(&self, request: &ScheduleRequest) -> Result<ScheduleOutcome, EngineError> {
         self.pool
-            .run_one(|scratch| execute(scratch, request))
+            .run_one_with(Scratch::new, |scratch| execute(scratch, request))
             .map_err(EngineError::from)
     }
 
@@ -101,7 +101,7 @@ impl Engine {
         F: Fn(&mut Scratch, I) -> T + Sync,
     {
         self.pool
-            .batch_map(items, f)
+            .batch_map_with(Scratch::new, items, f)
             .into_iter()
             .map(|r| r.map_err(EngineError::from))
             .collect()

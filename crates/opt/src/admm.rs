@@ -388,12 +388,17 @@ pub fn solve_admm_in(ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> So
                     converged = true;
                 } else {
                     // Three consecutive stall windows with zero gap
-                    // progress mean the iterate sits at the prox's
-                    // numerical floor (a frozen point): stop honestly
-                    // (converged stays false) instead of burning the
-                    // whole iteration budget there. Any real progress,
-                    // however slow, resets the strike counter.
-                    if gap >= 0.9999 * last_stall_gap {
+                    // progress *and* no primal residual mean the iterate
+                    // sits at the prox's numerical floor (a frozen
+                    // point): stop honestly (converged stays false)
+                    // instead of burning the whole iteration budget
+                    // there. A live residual is not frozen: the duals are
+                    // still climbing, e.g. out of the over-relaxed first
+                    // round that clamps a tiny-work task's share to zero,
+                    // while the objective at z sits flat on X_FLOOR. Any
+                    // real progress, however slow, resets the counter.
+                    let z_norm = z.iter().map(|v| v * v).sum::<f64>().sqrt();
+                    if gap >= 0.9999 * last_stall_gap && r_norm <= 1e-12 * (1.0 + z_norm) {
                         no_progress += 1;
                         if no_progress >= 3 {
                             break;
@@ -812,6 +817,24 @@ mod tests {
         assert!(
             (r.objective - 2.0).abs() < 1e-6,
             "objective {}",
+            r.objective
+        );
+    }
+
+    #[test]
+    fn tiny_work_task_climbs_back_from_a_zero_share() {
+        // Work 7.7e-5 under f² + 1 wants X = C/f_crit = 7.7e-5 of a
+        // 5.4-unit window. The over-relaxed first round clamps z to 0,
+        // and the duals need more than three stall windows to climb
+        // back; stopping there reported the floored 5.92 as the answer.
+        let c = 7.694753722523734e-5;
+        let ep = program(&[(14.567659774730242, 20.00639491931332, c)], 1, 2.0, 1.0);
+        let r = solve_admm(&ep, &SolveOptions::default());
+        assert!(r.converged, "gap {}", r.gap);
+        let expect = 2.0 * c;
+        assert!(
+            (r.objective - expect).abs() < 1e-6 * expect,
+            "{}",
             r.objective
         );
     }

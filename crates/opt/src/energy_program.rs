@@ -21,8 +21,8 @@
 //! subinterval — so Euclidean projection decomposes blockwise
 //! ([`crate::projection`]). This module owns the variable layout, the
 //! objective/gradient oracle, blockwise projection and LMO, and a feasible
-//! starting point. The solvers in [`crate::gradient`], [`crate::fista`],
-//! and [`crate::frank_wolfe`] are generic over this oracle.
+//! starting point. The iterative solvers in [`crate::gradient`] and
+//! [`crate::admm`] are generic over this oracle.
 
 // Indexed loops below walk several parallel arrays at once; iterator
 // zips would obscure the numerics. Silence clippy's range-loop lint here.

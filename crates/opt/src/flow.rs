@@ -25,13 +25,12 @@
 use esched_subinterval::Timeline;
 use esched_types::TaskSet;
 
-/// An edge in the flow network (paired with its reverse).
+/// An edge in the flow network (paired with its reverse). The flow an
+/// edge carries is its reverse edge's residual capacity.
 #[derive(Debug, Clone, Copy)]
 struct Edge {
     to: usize,
     cap: f64,
-    /// Capacity the edge was created with (for flow extraction).
-    initial_cap: f64,
     /// Index of the reverse edge in `graph[to]`.
     rev: usize,
 }
@@ -69,13 +68,11 @@ impl Dinic {
         self.graph[from].push(Edge {
             to,
             cap,
-            initial_cap: cap,
             rev: rev_from,
         });
         self.graph[to].push(Edge {
             to: from,
             cap: 0.0,
-            initial_cap: 0.0,
             rev: rev_to,
         });
         EdgeHandle {
@@ -84,11 +81,38 @@ impl Dinic {
         }
     }
 
-    /// Flow pushed through an edge (valid after [`Dinic::max_flow`]):
-    /// `initial capacity − residual capacity`, clamped at 0.
+    /// Flow pushed through an edge (valid after [`Dinic::max_flow`]),
+    /// clamped at 0.
     pub fn flow_of(&self, handle: EdgeHandle) -> f64 {
         let e = &self.graph[handle.from][handle.index];
-        (e.initial_cap - e.cap).max(0.0)
+        self.graph[e.to][e.rev].cap.max(0.0)
+    }
+
+    /// Withdraw `amount` units of flow from an edge, returning them to its
+    /// residual capacity. The caller keeps flow conserved by withdrawing
+    /// the same amount along a whole source–sink path.
+    fn withdraw(&mut self, handle: EdgeHandle, amount: f64) {
+        let e = self.graph[handle.from][handle.index];
+        self.graph[handle.from][handle.index].cap += amount;
+        self.graph[e.to][e.rev].cap -= amount;
+    }
+
+    /// Nodes reachable from `s` through edges with residual capacity —
+    /// after [`Dinic::max_flow`], the source side of the minimal minimum
+    /// cut.
+    fn reachable(&self, s: usize) -> Vec<bool> {
+        let mut seen = vec![false; self.graph.len()];
+        let mut stack = vec![s];
+        seen[s] = true;
+        while let Some(v) = stack.pop() {
+            for e in &self.graph[v] {
+                if e.cap > self.eps && !seen[e.to] {
+                    seen[e.to] = true;
+                    stack.push(e.to);
+                }
+            }
+        }
+        seen
     }
 
     fn bfs_levels(&self, s: usize, t: usize) -> Option<Vec<i32>> {
@@ -136,8 +160,10 @@ impl Dinic {
         0.0
     }
 
-    /// Compute the maximum flow from `s` to `t`. Consumes the residual
-    /// capacities in place (call on a fresh network).
+    /// Augment the current flow from `s` to `t` until it is maximum, and
+    /// return the amount added. On a fresh network this is the maximum
+    /// flow; on one that already carries flow, the residual capacities are
+    /// reused and only the difference is pushed.
     pub fn max_flow(&mut self, s: usize, t: usize) -> f64 {
         let mut flow = 0.0;
         while let Some(level) = self.bfs_levels(s, t) {
@@ -154,6 +180,164 @@ impl Dinic {
     }
 }
 
+/// The `source → task → subinterval → sink` network of the module docs,
+/// with adjustable per-task demands on the source edges.
+///
+/// Node layout: `0` is the source, `1 + i` task `i`, `1 + n + j`
+/// subinterval `j`, and the last node the sink. Each task node's edge list
+/// holds the reverse of its source edge first, then its subinterval edges
+/// in span order, so a task's flows are read and withdrawn by position.
+/// The network persists across demand changes: [`TaskNetwork::set_demand`]
+/// withdraws flow a lowered demand no longer admits, and
+/// [`TaskNetwork::augment`] tops the flow back up to a maximum from the
+/// residual instead of starting over.
+#[derive(Debug, Clone)]
+pub struct TaskNetwork {
+    net: Dinic,
+    /// Subinterval range `[a, b)` of each task.
+    spans: Vec<(usize, usize)>,
+    /// Handle of each subinterval's edge to the sink.
+    sink_edges: Vec<EdgeHandle>,
+}
+
+impl TaskNetwork {
+    /// Build the network for tasks covering the subinterval ranges
+    /// `spans`, subinterval lengths `deltas`, and `cores` cores. Every
+    /// demand starts at zero.
+    pub(crate) fn new(spans: Vec<(usize, usize)>, deltas: &[f64], cores: usize) -> Self {
+        let n = spans.len();
+        let nsub = deltas.len();
+        let sink = n + nsub + 1;
+        let mut net = Dinic::new(n + nsub + 2);
+        // Resolve flows relative to the shortest subinterval, so near-EPS
+        // subintervals keep full relative precision.
+        let shortest = deltas
+            .iter()
+            .copied()
+            .filter(|&d| d > 0.0)
+            .fold(1.0_f64, f64::min);
+        net.eps = 1e-12 * shortest;
+        for i in 0..n {
+            net.add_edge(0, 1 + i, 0.0);
+        }
+        for (i, &(a, b)) in spans.iter().enumerate() {
+            for j in a..b {
+                net.add_edge(1 + i, 1 + n + j, deltas[j]);
+            }
+        }
+        let sink_edges = (0..nsub)
+            .map(|j| net.add_edge(1 + n + j, sink, cores as f64 * deltas[j]))
+            .collect();
+        Self {
+            net,
+            spans,
+            sink_edges,
+        }
+    }
+
+    /// The network for `tasks` over `timeline` on `cores` cores.
+    pub fn from_timeline(timeline: &Timeline, tasks: usize, cores: usize) -> Self {
+        let spans = (0..tasks)
+            .map(|i| {
+                let r = timeline.span(i);
+                (r.start, r.end)
+            })
+            .collect();
+        let deltas: Vec<f64> = (0..timeline.len()).map(|j| timeline.delta(j)).collect();
+        Self::new(spans, &deltas, cores)
+    }
+
+    fn sink(&self) -> usize {
+        self.net.graph.len() - 1
+    }
+
+    /// Flow currently routed through task `task`.
+    fn served(&self, task: usize) -> f64 {
+        self.net.graph[1 + task][0].cap.max(0.0)
+    }
+
+    /// Set task `task`'s demand (its source-edge capacity). Lowering it
+    /// below the flow the task carries withdraws the excess along the
+    /// task's own subinterval edges, so the network stays a valid flow.
+    pub fn set_demand(&mut self, task: usize, demand: f64) {
+        assert!(demand >= 0.0 && demand.is_finite());
+        let node = 1 + task;
+        let mut served = self.served(task);
+        let (a, b) = self.spans[task];
+        let mut k = 0;
+        while served > demand && k < b - a {
+            let edge = EdgeHandle {
+                from: node,
+                index: 1 + k,
+            };
+            let take = self.net.flow_of(edge).min(served - demand);
+            if take > 0.0 {
+                self.net.withdraw(edge, take);
+                self.net.withdraw(self.sink_edges[a + k], take);
+                served -= take;
+            }
+            k += 1;
+        }
+        let served = served.min(demand);
+        self.net.graph[node][0].cap = served;
+        self.net.graph[0][task].cap = demand - served;
+    }
+
+    /// Augment to a maximum flow for the current demands and return the
+    /// total flow served.
+    pub fn augment(&mut self) -> f64 {
+        let sink = self.sink();
+        self.net.max_flow(0, sink);
+        (0..self.spans.len()).map(|i| self.served(i)).sum()
+    }
+
+    /// Per-task membership of the source side of the minimal minimum cut:
+    /// after [`TaskNetwork::augment`], the tasks whose demands the network
+    /// cannot all serve together (empty when every demand is met).
+    pub fn overloaded(&self) -> Vec<bool> {
+        let seen = self.net.reachable(0);
+        seen[1..=self.spans.len()].to_vec()
+    }
+
+    /// The flow's task→subinterval times, task-major and in span order —
+    /// the flat `x_{i,j}` layout of [`crate::EnergyProgram`].
+    pub(crate) fn flat_allocation(&self) -> Vec<f64> {
+        let mut x = Vec::new();
+        for (i, &(a, b)) in self.spans.iter().enumerate() {
+            x.extend((0..b - a).map(|k| {
+                self.net.flow_of(EdgeHandle {
+                    from: 1 + i,
+                    index: 1 + k,
+                })
+            }));
+        }
+        x
+    }
+}
+
+/// The network for `tasks` with every demand set to `C_i / f_cap`, after
+/// augmenting to a maximum flow; returns it with the total demand.
+fn network_at_frequency(
+    tasks: &TaskSet,
+    timeline: &Timeline,
+    cores: usize,
+    f_cap: f64,
+) -> (TaskNetwork, f64) {
+    assert!(f_cap > 0.0);
+    let mut net = TaskNetwork::from_timeline(timeline, tasks.len(), cores);
+    let mut required = 0.0;
+    for (i, t) in tasks.iter() {
+        let need = t.wcec / f_cap;
+        required += need;
+        net.set_demand(i, need);
+    }
+    (net, required)
+}
+
+fn serves(flow: f64, required: f64) -> bool {
+    flow >= required * (1.0 - 1e-9) - 1e-9
+}
+
 /// Exact schedulability test: can `tasks` be feasibly scheduled on `cores`
 /// cores with every frequency at most `f_cap` (preemption + migration
 /// allowed)?
@@ -163,27 +347,8 @@ pub fn feasible_at_frequency(
     cores: usize,
     f_cap: f64,
 ) -> bool {
-    assert!(f_cap > 0.0);
-    let n = tasks.len();
-    let nsub = timeline.len();
-    // Nodes: 0 = source, 1..=n tasks, n+1..=n+nsub subintervals, last = sink.
-    let source = 0;
-    let sink = n + nsub + 1;
-    let mut net = Dinic::new(n + nsub + 2);
-    let mut required = 0.0;
-    for (i, t) in tasks.iter() {
-        let need = t.wcec / f_cap;
-        required += need;
-        net.add_edge(source, 1 + i, need);
-        for j in timeline.span(i) {
-            net.add_edge(1 + i, 1 + n + j, timeline.delta(j));
-        }
-    }
-    for j in 0..nsub {
-        net.add_edge(1 + n + j, sink, cores as f64 * timeline.delta(j));
-    }
-    let flow = net.max_flow(source, sink);
-    flow >= required * (1.0 - 1e-9) - 1e-9
+    let (mut net, required) = network_at_frequency(tasks, timeline, cores, f_cap);
+    serves(net.augment(), required)
 }
 
 /// Compute a feasible per-(task, subinterval) execution-time matrix at
@@ -199,36 +364,17 @@ pub fn feasible_allocation(
     cores: usize,
     f_cap: f64,
 ) -> Option<Vec<Vec<f64>>> {
-    assert!(f_cap > 0.0);
-    let n = tasks.len();
-    let nsub = timeline.len();
-    let source = 0;
-    let sink = n + nsub + 1;
-    let mut net = Dinic::new(n + nsub + 2);
-    let mut required = 0.0;
-    let mut handles: Vec<Vec<(usize, super::flow::EdgeHandle)>> = Vec::with_capacity(n);
-    for (i, t) in tasks.iter() {
-        let need = t.wcec / f_cap;
-        required += need;
-        net.add_edge(source, 1 + i, need);
-        let mut row = Vec::new();
-        for j in timeline.span(i) {
-            let h = net.add_edge(1 + i, 1 + n + j, timeline.delta(j));
-            row.push((j, h));
-        }
-        handles.push(row);
-    }
-    for j in 0..nsub {
-        net.add_edge(1 + n + j, sink, cores as f64 * timeline.delta(j));
-    }
-    let flow = net.max_flow(source, sink);
-    if flow < required * (1.0 - 1e-9) - 1e-9 {
+    let (mut net, required) = network_at_frequency(tasks, timeline, cores, f_cap);
+    if !serves(net.augment(), required) {
         return None;
     }
-    let mut x = vec![vec![0.0; nsub]; n];
-    for (i, row) in handles.iter().enumerate() {
-        for &(j, h) in row {
-            x[i][j] = net.flow_of(h);
+    let flat = net.flat_allocation();
+    let mut x = vec![vec![0.0; timeline.len()]; tasks.len()];
+    let mut k = 0;
+    for (i, row) in x.iter_mut().enumerate() {
+        for j in timeline.span(i) {
+            row[j] = flat[k];
+            k += 1;
         }
     }
     Some(x)

@@ -7,22 +7,22 @@
 //! polynomial time, and uses that optimum — computed by an interior-point
 //! solver in the authors' setup — purely as the normalization baseline
 //! `E^OPT` for every experiment. This crate supplies that baseline from
-//! scratch:
+//! scratch, and exactly: the program is a separable convex objective over
+//! a flow polymatroid, so a max-flow algorithm reaches the optimum itself
+//! where an interior point only approaches it:
 //!
 //! * [`energy_program`] — the reformulated program (variables `x_{i,j}`,
 //!   blockwise capped-simplex feasible set, objective/gradient oracle),
 //! * [`projection`] — exact Euclidean projection and linear-minimization
 //!   oracle for one capped-simplex block,
-//! * [`gradient`] / [`fista`] / [`frank_wolfe`] — three independent
-//!   first-order solvers (cross-checked in tests and ablation benches),
-//! * [`barrier`] — a structure-exploiting primal log-barrier interior
-//!   point method (the solver the paper names), with [`linalg`] as its
-//!   dense-solve substrate,
-//! * [`block_descent`] — Gauss–Seidel over subintervals with exact
-//!   closed-form waterfilling block solves,
+//! * [`exact`] — the exact solver: Fujishige's lexicographically optimal
+//!   base by min-cut peeling over the [`flow`] network, plus the
+//!   critical-speed floor — the ground-truth `E^OPT`,
+//! * [`gradient`] — projected gradient descent, the iterative default the
+//!   experiment harness uses,
 //! * [`admm`] — consensus ADMM with exact per-task proximal solves fanned
-//!   across the shared worker pool: the decomposed, parallel solver for
-//!   large instances, and the only one with dual (price) state,
+//!   across the shared worker pool: the decomposed, parallel iterative
+//!   cross-check, and the only solver with dual (price) state,
 //! * [`kkt`] — solver-independent optimality certification,
 //! * [`scalar`] — bisection / safeguarded Newton / golden section,
 //! * [`least_squares`] — the `p(f) = γf^α + p₀` power-curve fit
@@ -34,27 +34,20 @@
 #![warn(missing_docs)]
 
 pub mod admm;
-pub mod barrier;
-pub mod block_descent;
 pub mod energy_program;
-pub mod fista;
+pub mod exact;
 pub mod flow;
-pub mod frank_wolfe;
 pub mod gradient;
 pub mod kkt;
 pub mod least_squares;
-pub mod linalg;
 pub mod projection;
 pub mod scalar;
 pub mod solver;
 
 pub use admm::{solve_admm, solve_admm_in};
-pub use barrier::solve_barrier;
-pub use block_descent::{solve_block_descent, solve_block_descent_from};
 pub use energy_program::EnergyProgram;
-pub use fista::solve_fista;
-pub use flow::{feasible_at_frequency, min_frequency_by_flow, Dinic};
-pub use frank_wolfe::solve_frank_wolfe;
+pub use exact::solve_exact;
+pub use flow::{feasible_at_frequency, min_frequency_by_flow, Dinic, TaskNetwork};
 pub use gradient::solve_pgd;
 pub use kkt::{kkt_report, price_certificate, subinterval_prices, KktReport};
 pub use least_squares::{fit_power_curve, PowerFit};

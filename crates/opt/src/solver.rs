@@ -1,5 +1,5 @@
 //! Shared solver options and result types for the energy-program solvers,
-//! plus [`SolverKind`] — the by-value handle that dispatches to the six
+//! plus [`SolverKind`] — the by-value handle that dispatches to the three
 //! entry points so callers can pick a solver without function pointers.
 
 use crate::energy_program::EnergyProgram;
@@ -22,12 +22,11 @@ pub struct SolveOptions {
     /// How often (in iterations) to evaluate the duality gap; the gap costs
     /// a gradient + LMO, so checking every iteration is wasteful.
     pub gap_check_every: usize,
-    /// Optional starting iterate for the warm-startable solvers (PGD,
-    /// FISTA, Frank–Wolfe, block descent). Validated against the program's
-    /// dimension and projected onto the feasible set before use; a
-    /// mismatched or absent warm start falls back to
-    /// [`EnergyProgram::initial_point`]. The barrier solver ignores it
-    /// (its central-path start must be strictly interior).
+    /// Optional starting iterate for the iterative solvers (PGD, ADMM).
+    /// Validated against the program's dimension and projected onto the
+    /// feasible set before use; a mismatched or absent warm start falls
+    /// back to [`EnergyProgram::initial_point`]. The exact solver ignores
+    /// it (it has no iterate to start from).
     pub warm_start: Option<Vec<f64>>,
     /// Optional starting dual point (per-variable multipliers, length
     /// [`EnergyProgram::dim`]) for solvers that maintain one — currently
@@ -159,27 +158,16 @@ pub(crate) fn sanitize_start(ep: &EnergyProgram, x0: Vec<f64>) -> Vec<f64> {
 
 /// Which method solves the energy program.
 ///
-/// The six free functions ([`crate::solve_pgd`], [`crate::solve_fista`],
-/// [`crate::solve_frank_wolfe`], [`crate::solve_barrier`],
-/// [`crate::solve_block_descent`], [`crate::solve_admm`]) remain the
-/// low-level entry points; [`SolverKind::solve`] dispatches to them so
-/// configuration surfaces (`EngineConfig`, the solver study, CLI flags)
-/// can select a solver by value instead of threading function pointers
-/// and adapters around.
+/// The three free functions ([`crate::solve_pgd`], [`crate::solve_admm`],
+/// [`crate::solve_exact`]) remain the low-level entry points;
+/// [`SolverKind::solve`] dispatches to them so configuration surfaces
+/// (`EngineConfig`, the solver study, CLI flags) can select a solver by
+/// value instead of threading function pointers and adapters around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
     /// Projected gradient descent with backtracking (default).
     #[default]
     ProjectedGradient,
-    /// FISTA with adaptive restart.
-    Fista,
-    /// Frank–Wolfe with golden-section line search.
-    FrankWolfe,
-    /// Primal log-barrier interior point (the paper's named method).
-    InteriorPoint,
-    /// Gauss–Seidel block-coordinate descent with exact waterfilling
-    /// block solves.
-    BlockDescent,
     /// Consensus ADMM: per-task subproblems solved exactly (bisection on
     /// the task's share total) and fanned across the shared worker pool,
     /// coordinated by per-subinterval prices with an over-relaxed update.
@@ -187,23 +175,25 @@ pub enum SolverKind {
     /// [`SolveResult::dual`] is `Some` and
     /// [`SolveOptions::warm_start_dual`] is honored.
     Admm,
+    /// The exact combinatorial optimum by min-cut peeling
+    /// ([`crate::exact`]): no tolerance, no iterate, and `iters` counts
+    /// max-flow computations.
+    Exact,
 }
 
 impl SolverKind {
-    /// All six kinds, in study order.
-    pub const ALL: [SolverKind; 6] = [
+    /// All three kinds, in study order.
+    pub const ALL: [SolverKind; 3] = [
         SolverKind::ProjectedGradient,
-        SolverKind::Fista,
-        SolverKind::FrankWolfe,
-        SolverKind::InteriorPoint,
-        SolverKind::BlockDescent,
         SolverKind::Admm,
+        SolverKind::Exact,
     ];
 
-    /// Solve `ep` with this method. First-order methods and block descent
-    /// start from [`SolveOptions::warm_start`] when it is set (validated
-    /// and projected), otherwise from [`EnergyProgram::initial_point`];
-    /// the barrier solver always chooses its own interior starting point.
+    /// Solve `ep` with this method. PGD starts from
+    /// [`SolveOptions::warm_start`] when it is set (validated and
+    /// projected), otherwise from [`EnergyProgram::initial_point`]; ADMM
+    /// reads its primal and dual warm starts itself; the exact solver
+    /// ignores every option but [`SolveOptions::trace_iters`].
     pub fn solve(&self, ep: &EnergyProgram, opts: &SolveOptions) -> SolveResult {
         // A fresh env-sized pool per solve: the pool struct is one usize
         // (threads spawn per batch call), so this is free, and it keeps
@@ -216,23 +206,30 @@ impl SolverKind {
     /// solvers ignore `pool`. Results are byte-identical at any worker
     /// count, so pool choice is purely a throughput knob.
     pub fn solve_in(&self, ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> SolveResult {
-        let start = |ep: &EnergyProgram| {
-            if let Some(x0) = opts.warm_point(ep) {
-                esched_obs::metric_counter!("esched.opt.warm_starts").inc();
-                x0
-            } else {
-                ep.initial_point()
-            }
-        };
         match self {
-            SolverKind::ProjectedGradient => crate::gradient::solve_pgd(ep, start(ep), opts),
-            SolverKind::Fista => crate::fista::solve_fista(ep, start(ep), opts),
-            SolverKind::FrankWolfe => crate::frank_wolfe::solve_frank_wolfe(ep, start(ep), opts),
-            SolverKind::InteriorPoint => crate::barrier::solve_barrier(ep, opts),
-            SolverKind::BlockDescent => {
-                crate::block_descent::solve_block_descent_from(ep, start(ep), opts)
+            SolverKind::ProjectedGradient => {
+                let x0 = if let Some(x0) = opts.warm_point(ep) {
+                    esched_obs::metric_counter!("esched.opt.warm_starts").inc();
+                    x0
+                } else {
+                    ep.initial_point()
+                };
+                crate::gradient::solve_pgd(ep, x0, opts)
             }
             SolverKind::Admm => crate::admm::solve_admm_in(ep, opts, pool),
+            SolverKind::Exact => {
+                let mut r = crate::exact::solve_exact(ep);
+                // No iterate sequence: the trace is the one final point.
+                if opts.trace_iters {
+                    r.iter_trace = Some(vec![IterSample {
+                        iter: r.iters,
+                        objective: r.objective,
+                        gap: r.gap,
+                        step: 0.0,
+                    }]);
+                }
+                r
+            }
         }
     }
 
@@ -240,11 +237,8 @@ impl SolverKind {
     pub fn name(&self) -> &'static str {
         match self {
             SolverKind::ProjectedGradient => "pgd",
-            SolverKind::Fista => "fista",
-            SolverKind::FrankWolfe => "frank_wolfe",
-            SolverKind::InteriorPoint => "interior_point",
-            SolverKind::BlockDescent => "block_descent",
             SolverKind::Admm => "admm",
+            SolverKind::Exact => "exact",
         }
     }
 
@@ -263,8 +257,8 @@ impl SolverKind {
 /// per-run report (`esched_obs::report::RunReport`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolverTelemetry {
-    /// Iterations executed (sweeps for block descent, Newton steps for the
-    /// barrier method). Mirrors [`SolveResult::iters`].
+    /// Iterations executed (max-flow computations for the exact solver).
+    /// Mirrors [`SolveResult::iters`].
     pub iters: usize,
     /// Total iterations whose relative objective decrease fell below
     /// `rel_tol` (the stall counter's increments, summed over the run).
@@ -298,8 +292,8 @@ impl SolverTelemetry {
     /// - `esched.opt.cap_hits` — solves that exhausted the iteration cap,
     /// - `esched.opt.solve_wall_ns` — per-solve wall time histogram.
     ///
-    /// `solver` is a short stable name (`"pgd"`, `"fista"`,
-    /// `"frank_wolfe"`, `"barrier"`, `"block_descent"`).
+    /// `solver` is the [`SolverKind::name`] (`"pgd"`, `"admm"`,
+    /// `"exact"`).
     pub fn publish(&self, solver: &str) {
         use esched_obs::{metric_counter, metric_histogram, metrics};
         metric_counter!("esched.opt.solves").inc();
@@ -318,20 +312,18 @@ impl SolverTelemetry {
 /// One per-iteration convergence sample, recorded when
 /// [`SolveOptions::trace_iters`] is on.
 ///
-/// All six solvers emit the same shape; `step` is the solver's own
-/// step-quality scalar — accepted step size for PGD/FISTA, the line-search
-/// `γ` for Frank–Wolfe, the Armijo step for the barrier's Newton steps,
-/// the per-sweep objective decrease for block descent, and the primal
-/// residual norm for ADMM.
+/// Every solver emits the same shape; `step` is the solver's own
+/// step-quality scalar — the accepted step size for PGD and the primal
+/// residual norm for ADMM. The exact solver emits one sample, its final
+/// point, with `step = 0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterSample {
-    /// 1-based iteration number (sweep / Newton step for the non-first-
-    /// order methods).
+    /// 1-based iteration number (the max-flow count for the exact
+    /// solver).
     pub iter: usize,
     /// Objective value after the iteration.
     pub objective: f64,
-    /// Last known certified duality gap (`inf` until the first gap check;
-    /// Frank–Wolfe updates it every iteration for free).
+    /// Last known certified duality gap (`inf` until the first gap check).
     pub gap: f64,
     /// Solver-specific step scalar (see type docs).
     pub step: f64,

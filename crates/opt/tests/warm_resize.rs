@@ -3,14 +3,14 @@
 //! When the online engine re-certifies energy after an arrival or
 //! completion, the `EnergyProgram` dimension changes between solves. A
 //! stale warm start must never panic or silently corrupt the solve: the
-//! direct entry points sanitize the start (wrong dimension or non-finite
+//! iterative solvers sanitize the start (wrong dimension or non-finite
 //! entries fall back to the canonical interior point; feasible points
 //! pass through untouched), and `warm_start_from_totals` carries the old
-//! optimum's per-task totals into the new geometry.
+//! optimum's per-task totals into the new geometry. The exact optimum of
+//! the grown program is the reference every warm solve must reach.
 
 use esched_opt::{
-    kkt_report, solve_block_descent_from, solve_fista, solve_pgd, EnergyProgram, SolveOptions,
-    SolverKind,
+    kkt_report, solve_admm, solve_exact, solve_pgd, EnergyProgram, SolveOptions, SolverKind,
 };
 use esched_subinterval::Timeline;
 use esched_types::{PolynomialPower, TaskSet};
@@ -39,10 +39,12 @@ fn wrong_dimension_warm_start_does_not_panic_and_still_converges() {
     let ep_new = program(&grown(), 2);
     assert_ne!(ep_old.dim(), ep_new.dim(), "mutation must change dim");
 
-    // A stale optimum from the old program, fed raw into every direct
-    // entry point of the new one.
-    let stale = solve_pgd(&ep_old, ep_old.initial_point(), &SolveOptions::default()).x;
-    let cold = solve_pgd(&ep_new, ep_new.initial_point(), &SolveOptions::precise()).objective;
+    // A stale optimum (and ADMM dual) from the old program, fed raw into
+    // every direct entry point of the new one.
+    let old = solve_admm(&ep_old, &SolveOptions::default());
+    let stale = old.x;
+    let stale_dual = old.dual.expect("admm returns its dual point");
+    let cold = solve_exact(&ep_new).objective;
 
     for (name, r) in [
         (
@@ -50,12 +52,13 @@ fn wrong_dimension_warm_start_does_not_panic_and_still_converges() {
             solve_pgd(&ep_new, stale.clone(), &SolveOptions::precise()),
         ),
         (
-            "fista",
-            solve_fista(&ep_new, stale.clone(), &SolveOptions::precise()),
-        ),
-        (
-            "block_descent",
-            solve_block_descent_from(&ep_new, stale.clone(), &SolveOptions::precise()),
+            "admm",
+            solve_admm(
+                &ep_new,
+                &SolveOptions::precise()
+                    .with_warm_start(stale.clone())
+                    .with_warm_start_dual(stale_dual.clone()),
+            ),
         ),
     ] {
         assert_eq!(r.x.len(), ep_new.dim(), "{name}: wrong output dim");
@@ -82,16 +85,13 @@ fn non_finite_warm_start_is_replaced() {
 fn solver_kind_with_stale_warm_start_on_grown_program_is_safe() {
     let ep_old = program(&small(), 2);
     let ep_new = program(&grown(), 2);
-    let stale = solve_pgd(&ep_old, ep_old.initial_point(), &SolveOptions::default()).x;
-    let cold = SolverKind::ProjectedGradient
-        .solve(&ep_new, &SolveOptions::precise())
-        .objective;
-    for kind in [
-        SolverKind::ProjectedGradient,
-        SolverKind::Fista,
-        SolverKind::BlockDescent,
-    ] {
-        let opts = SolveOptions::precise().with_warm_start(stale.clone());
+    let old = SolverKind::Admm.solve(&ep_old, &SolveOptions::default());
+    let stale_dual = old.dual.expect("admm returns its dual point");
+    let cold = solve_exact(&ep_new).objective;
+    for kind in SolverKind::ALL {
+        let opts = SolveOptions::precise()
+            .with_warm_start(old.x.clone())
+            .with_warm_start_dual(stale_dual.clone());
         let r = kind.solve(&ep_new, &opts);
         assert_eq!(r.x.len(), ep_new.dim());
         assert!(

@@ -1,12 +1,13 @@
-//! The five ways this workspace computes `E^OPT`, head to head on one
-//! instance — with certificates.
+//! Every way this workspace computes `E^OPT`, head to head on one
+//! instance — with certificates, and the iterative solvers measured
+//! against the exact optimum.
 //!
 //! ```text
 //! cargo run --release --example solver_comparison
 //! ```
 
-use esched::core::{analyze, optimal_energy_with, Solver};
-use esched::opt::{kkt_report, EnergyProgram, SolveOptions};
+use esched::core::{analyze, optimal_energy_with};
+use esched::opt::{kkt_report, EnergyProgram, SolveOptions, SolverKind};
 use esched::prelude::*;
 use std::time::Instant;
 
@@ -24,39 +25,40 @@ fn main() {
         "{:<20} {:>12} {:>10} {:>8} {:>10}",
         "solver", "E^OPT", "gap", "iters", "ms"
     );
-    let solvers = [
-        ("projected gradient", Solver::ProjectedGradient),
-        ("FISTA", Solver::Fista),
-        ("Frank-Wolfe", Solver::FrankWolfe),
-        ("interior point", Solver::InteriorPoint),
-        ("block descent", Solver::BlockDescent),
-    ];
-    let mut best: Option<(f64, Solver)> = None;
-    for (name, solver) in solvers {
-        let t0 = Instant::now();
-        let sol = optimal_energy_with(&tasks, cores, &power, &SolveOptions::default(), solver);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        println!(
-            "{name:<20} {:>12.6} {:>10.2e} {:>8} {:>10.2}",
-            sol.energy, sol.gap, sol.iters, ms
-        );
-        validate_schedule(&sol.schedule, &tasks).assert_legal();
-        if best.map(|(e, _)| sol.energy < e).unwrap_or(true) {
-            best = Some((sol.energy, solver));
-        }
-    }
-
-    // Independent certification of the best solution.
-    let (energy, solver) = best.unwrap();
-    let sol = optimal_energy_with(&tasks, cores, &power, &SolveOptions::default(), solver);
     let tl = Timeline::build(&tasks);
     let ep = EnergyProgram::new(&tasks, &tl, cores, power);
-    // Reconstruct x from the schedule-extracted totals is lossy; certify
-    // the solver's own iterate instead by re-solving precisely.
-    let precise = optimal_energy_with(&tasks, cores, &power, &SolveOptions::precise(), solver);
+    let exact = SolverKind::Exact.solve(&ep, &SolveOptions::default());
+    let mut sol = None;
+    for solver in SolverKind::ALL {
+        let t0 = Instant::now();
+        let s = optimal_energy_with(&tasks, cores, &power, &SolveOptions::default(), solver);
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        println!(
+            "{:<20} {:>12.6} {:>10.2e} {:>8} {:>10.2}",
+            solver.name(),
+            s.energy,
+            s.gap,
+            s.iters,
+            ms
+        );
+        validate_schedule(&s.schedule, &tasks).assert_legal();
+        if solver == SolverKind::Exact {
+            sol = Some(s);
+        } else {
+            println!(
+                "{:<20} {:>12.2e} above the exact optimum",
+                "",
+                (s.energy - exact.objective) / exact.objective
+            );
+        }
+    }
+    let sol = sol.expect("SolverKind::ALL includes Exact");
+
+    // Independent certification of the exact solution.
+    let report = kkt_report(&ep, &exact.x);
     println!(
-        "\nbest: {solver:?} at E = {energy:.6}; precise re-solve: {:.6}",
-        precise.energy
+        "\nexact optimum certified: duality gap {:.1e}, KKT residual {:.1e}",
+        report.duality_gap, report.projected_gradient_residual
     );
     let report = kkt_report(&ep, &ep.initial_point());
     println!(

@@ -9,7 +9,13 @@ use esched::obs::json::{parse, Value};
 use esched::obs::trace;
 use esched::sim::chrome_schedule_trace;
 use esched::types::{PolynomialPower, TaskSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Serializes the tests: the span capture installs a process-global
+/// subscriber, so a pipeline run on another test thread while it is
+/// installed would leave that thread's spans half-recorded when the
+/// capture disables tracing.
+static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn two_task_two_core_schedule() -> esched::types::Schedule {
     // Two overlapping tasks on two cores — small enough to eyeball, big
@@ -30,6 +36,7 @@ fn ph(e: &Value) -> &str {
 
 #[test]
 fn captured_spans_round_trip_as_valid_balanced_chrome_json() {
+    let _serial = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let sink = ChromeTraceSink::new();
     trace::init_with(trace::Filter::parse("debug"), Arc::new(sink.clone()));
     let schedule = two_task_two_core_schedule();
@@ -86,6 +93,7 @@ fn captured_spans_round_trip_as_valid_balanced_chrome_json() {
 
 #[test]
 fn schedule_converter_renders_cores_as_threads_with_freq_counters() {
+    let _serial = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let schedule = two_task_two_core_schedule();
     let doc = parse(&chrome_schedule_trace(&schedule).to_string_pretty()).expect("valid JSON");
     let evs = events(&doc);
