@@ -13,9 +13,8 @@ use crate::instance::Instance;
 use esched_core::{
     der_schedule, even_schedule, optimal_energy, optimal_energy_with, quantize_schedule,
     requantize_schedule, two_level_assignment, HeuristicOutcome, OptimalSolution, QuantizePolicy,
-    Solver,
 };
-use esched_opt::SolveOptions;
+use esched_opt::{SolveOptions, SolverKind};
 use esched_sim::simulate;
 use esched_subinterval::Timeline;
 use esched_types::validate::WORK_TOL;
@@ -48,10 +47,9 @@ pub enum OracleClass {
     /// validator⟺simulator oracle, or the final online outcome is not
     /// byte-identical to a from-scratch run on the same task set.
     Online,
-    /// An iterative solver disagrees with the exact optimum: ADMM beyond
-    /// the agreement band (or its solution fails the independent KKT
-    /// certificate), or projected gradient by more than its own certified
-    /// duality gap.
+    /// The iterative solver disagrees with the exact optimum: projected
+    /// gradient exceeds it by more than its own certified duality gap, or
+    /// lands below it.
     SolverAgreement,
 }
 
@@ -152,7 +150,7 @@ pub fn check_instance(inst: &Instance) -> Vec<OracleViolation> {
             inst.cores,
             &inst.power,
             &SolveOptions::default(),
-            Solver::Exact,
+            SolverKind::Exact,
         )
     });
     let pgd = run_caught("optimal_energy(pgd)", &mut out, || {
@@ -216,30 +214,24 @@ pub fn check_instance(inst: &Instance) -> Vec<OracleViolation> {
     out
 }
 
-/// Relative band within which ADMM must match the exact optimum.
-pub const ADMM_AGREE_TOL: f64 = 2e-5;
-
 /// Relative floating-point slack on top of a certified duality gap when
 /// comparing an iterative objective with the exact one.
 const GAP_REL_SLACK: f64 = 1e-9;
 
-/// The iterative solvers against the exact optimum: projected gradient
+/// The iterative solver against the exact optimum: projected gradient
 /// (`pgd`, solved through the `optimal_energy` pipeline) may exceed it by
-/// no more than its own certified duality gap, and ADMM must land within
-/// [`ADMM_AGREE_TOL`] (relative) of it and pass the solver-independent
-/// KKT certificate. Exercised on every fuzz instance, so the 3-seed ×
-/// 2000-iteration CI battery covers both solvers across the whole
-/// instance distribution.
+/// no more than its own certified duality gap. Exercised on every fuzz
+/// instance, so the 3-seed × 2000-iteration CI battery covers it across
+/// the whole instance distribution.
 fn check_solver_agreement(
     inst: &Instance,
     timeline: &Timeline,
     pgd: &OptimalSolution,
     out: &mut Vec<OracleViolation>,
 ) {
-    use esched_opt::{kkt_report, EnergyProgram, SolverKind};
+    use esched_opt::{kkt_report, solve_exact, EnergyProgram};
     let ep = &EnergyProgram::new(&inst.tasks, timeline, inst.cores, inst.power);
-    let solve = |kind: SolverKind| move || kind.solve(ep, &SolveOptions::default());
-    let Some(exact) = run_caught("solve_exact", out, solve(SolverKind::Exact)) else {
+    let Some(exact) = run_caught("solve_exact", out, || solve_exact(ep)) else {
         return;
     };
     // When the optimum itself sits at the X_FLOOR regularization (near-
@@ -260,29 +252,6 @@ fn check_solver_agreement(
             message: format!(
                 "pgd objective {} vs exact {}: excess {excess:e} outside [0, certified gap {:e}]",
                 pgd.energy, exact.objective, pgd.gap
-            ),
-        });
-    }
-    let Some(admm) = run_caught("solve_admm", out, solve(SolverKind::Admm)) else {
-        return;
-    };
-    let diff = (admm.objective - exact.objective).abs() / scale;
-    if diff > ADMM_AGREE_TOL {
-        out.push(OracleViolation {
-            class: OracleClass::SolverAgreement,
-            message: format!(
-                "admm objective {} vs exact {} (|diff| = {diff:e} > {ADMM_AGREE_TOL:e} relative)",
-                admm.objective, exact.objective
-            ),
-        });
-    }
-    let report = kkt_report(ep, &admm.x);
-    if !report.is_optimal(1e-5) {
-        out.push(OracleViolation {
-            class: OracleClass::SolverAgreement,
-            message: format!(
-                "admm solution fails KKT where the exact point certifies: residual {:e}, gap {:e}, feasibility {:e}",
-                report.projected_gradient_residual, report.duality_gap, report.feasibility_violation
             ),
         });
     }

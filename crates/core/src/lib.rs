@@ -20,9 +20,8 @@
 //!   arrivals not known in advance),
 //! * [`nec`] — Normalized Energy Consumption evaluation used by every
 //!   experiment,
-//! * [`Pool`] — the shared work-stealing pool (re-exported from
-//!   `esched_obs::pool`) used for batch jobs and for intra-instance
-//!   fan-out of the DER allocator.
+//! * [`pool`] — the shared work-stealing [`Pool`] used for batch jobs and
+//!   for intra-instance fan-out of the DER allocator.
 //!
 //! The pipeline is instrumented with `esched-obs` tracing spans:
 //! `der_schedule`/`even_schedule` at INFO, and `timeline_build`,
@@ -45,6 +44,7 @@ pub mod ideal;
 pub mod nec;
 pub mod optimal;
 pub mod packing;
+pub mod pool;
 pub mod quality;
 pub mod reclaim;
 pub mod refine;
@@ -64,15 +64,14 @@ pub use discrete::{
     best_discrete_split, quantize_schedule, requantize_schedule, two_level_assignment,
     two_level_split, DiscreteOutcome, QuantizePolicy, TwoLevelSplit,
 };
-pub use esched_obs::pool::{Pool, PoolError};
 pub use even::{even_schedule, even_schedule_with};
 pub use ideal::{ideal_schedule, IdealSolution};
 pub use nec::{evaluate_nec, evaluate_nec_full, mean_nec, std_nec, NecEvaluation, NecPoint};
 pub use optimal::{
-    optimal_energy, optimal_energy_in, optimal_energy_in_pool, optimal_energy_with,
-    OptimalSolution, Solver,
+    optimal_energy, optimal_energy_in, optimal_energy_in_pool, optimal_energy_with, OptimalSolution,
 };
 pub use packing::{pack_subinterval, PackError, PackItem};
+pub use pool::{Pool, PoolError};
 pub use quality::{analyze, ScheduleQuality, TaskQuality};
 pub use reclaim::{no_reclaim_energy, reclaim_der, ReclaimOutcome};
 pub use refine::{

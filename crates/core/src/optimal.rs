@@ -8,17 +8,9 @@
 //! into a collision-free schedule via Algorithm 1.
 
 use crate::packing::{pack_subinterval, PackItem};
-use esched_opt::{EnergyProgram, SolveOptions, SolveResult, SolverTelemetry};
+use esched_opt::{EnergyProgram, SolveOptions, SolverKind, SolverTelemetry};
 use esched_subinterval::Timeline;
 use esched_types::{PolynomialPower, Schedule, TaskSet};
-
-/// Which method solves the convex program.
-///
-/// This is [`esched_opt::SolverKind`] re-exported under its historical
-/// name — existing `Solver::Admm`-style call sites keep compiling, while
-/// new code (the engine's `EngineConfig`, the solver study) can use the
-/// unified `SolverKind::solve` dispatch directly.
-pub use esched_opt::SolverKind as Solver;
 
 /// The optimal solution: energy, certificate, and a legal schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +38,7 @@ pub struct OptimalSolution {
 }
 
 /// Solve the energy program for `tasks` on `cores` cores and extract a
-/// schedule. Uses [`Solver::ProjectedGradient`]; see
+/// schedule. Uses [`SolverKind::ProjectedGradient`]; see
 /// [`optimal_energy_with`] to pick a solver.
 ///
 /// # Examples
@@ -72,7 +64,7 @@ pub fn optimal_energy(
     power: &PolynomialPower,
     opts: &SolveOptions,
 ) -> OptimalSolution {
-    optimal_energy_with(tasks, cores, power, opts, Solver::ProjectedGradient)
+    optimal_energy_with(tasks, cores, power, opts, SolverKind::ProjectedGradient)
 }
 
 /// [`optimal_energy`] with an explicit solver choice.
@@ -81,7 +73,7 @@ pub fn optimal_energy_with(
     cores: usize,
     power: &PolynomialPower,
     opts: &SolveOptions,
-    solver: Solver,
+    solver: SolverKind,
 ) -> OptimalSolution {
     let timeline = Timeline::build(tasks);
     optimal_energy_in(tasks, &timeline, cores, power, opts, solver)
@@ -96,32 +88,10 @@ pub fn optimal_energy_in(
     cores: usize,
     power: &PolynomialPower,
     opts: &SolveOptions,
-    solver: Solver,
-) -> OptimalSolution {
-    optimal_energy_in_pool(tasks, timeline, cores, power, opts, solver, None)
-}
-
-/// [`optimal_energy_in`] with an optional shared worker [`Pool`] for the
-/// decomposed solver ([`Solver::Admm`]) to fan its per-task subproblems
-/// across — the engine threads its intra-instance pool through here so
-/// one warm set of workers serves allocation *and* certification. `None`
-/// falls back to an env-sized pool; serial solvers ignore it either way,
-/// and results are byte-identical at any worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn optimal_energy_in_pool(
-    tasks: &TaskSet,
-    timeline: &Timeline,
-    cores: usize,
-    power: &PolynomialPower,
-    opts: &SolveOptions,
-    solver: Solver,
-    pool: Option<&crate::Pool>,
+    solver: SolverKind,
 ) -> OptimalSolution {
     let ep = EnergyProgram::new(tasks, timeline, cores, *power);
-    let mut result: SolveResult = match pool {
-        Some(pool) => solver.solve_in(&ep, opts, pool),
-        None => solver.solve(&ep, opts),
-    };
+    let mut result = solver.solve(&ep, opts);
     clean_dust(&ep, tasks, timeline, &mut result.x);
     repair_starved(&ep, tasks, timeline, cores, power, &mut result.x);
     let total_times = ep.total_times(&result.x);
@@ -147,6 +117,21 @@ pub fn optimal_energy_in_pool(
         schedule,
         x: result.x,
     }
+}
+
+/// [`optimal_energy_in`] under its former pool-taking signature. No
+/// solver runs on a pool, so `_pool` is ignored.
+#[allow(clippy::too_many_arguments)]
+pub fn optimal_energy_in_pool(
+    tasks: &TaskSet,
+    timeline: &Timeline,
+    cores: usize,
+    power: &PolynomialPower,
+    opts: &SolveOptions,
+    solver: SolverKind,
+    _pool: Option<&crate::Pool>,
+) -> OptimalSolution {
+    optimal_energy_in(tasks, timeline, cores, power, opts, solver)
 }
 
 /// Zero out solver "dust": first-order methods leave tiny positive
@@ -347,8 +332,8 @@ mod tests {
     fn all_solvers_agree() {
         let ts = intro();
         let p = PolynomialPower::paper(3.0, 0.05);
-        let exact = optimal_energy_with(&ts, 2, &p, &SolveOptions::default(), Solver::Exact);
-        for solver in [Solver::ProjectedGradient, Solver::Admm] {
+        let exact = optimal_energy_with(&ts, 2, &p, &SolveOptions::default(), SolverKind::Exact);
+        for solver in SolverKind::ALL {
             let sol = optimal_energy_with(&ts, 2, &p, &SolveOptions::default(), solver);
             assert!(
                 (sol.energy - exact.energy).abs() < 2e-3 * (1.0 + exact.energy),

@@ -8,22 +8,16 @@
 //! count or steal interleaving — the property the engine's determinism
 //! test pins.
 //!
-//! The pool lives here, below every algorithm crate, so all three
-//! parallel consumers can share one implementation:
+//! Two consumers share it:
 //!
-//! * `esched-engine` fans whole schedule requests across it,
-//! * `esched-core`'s allocator fans heavy subinterval ranges of *one*
-//!   instance across it ([`Pool::batch_map_with`] with the allocator's
-//!   scratch arena as the worker context), and
-//! * `esched-opt`'s decomposed ADMM solver fans per-task subproblems
-//!   across it every round ([`Pool::scoped_run`]).
+//! * `esched-engine` fans whole schedule requests across it, and
+//! * the allocator ([`crate::allocate`]) fans heavy subinterval ranges of
+//!   *one* instance across it ([`Pool::batch_map_with`] with the
+//!   allocator's scratch arena as the worker context).
 //!
 //! Worker-local state is generic: [`Pool::batch_map_with`] threads a
 //! per-worker context built by a caller-supplied factory through every
-//! job (the `esched-core` wrapper instantiates it with `Scratch`), while
-//! [`Pool::scoped_run`] is the context-free variant for borrowed-slice
-//! fan-out where a panic should propagate instead of being collected.
-//! Metric names keep the historical `esched.engine.*` prefix —
+//! job. Metric names keep the historical `esched.engine.*` prefix —
 //! dashboards and the obs smoke tests predate the moves.
 
 use std::collections::VecDeque;
@@ -32,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::{metric_counter, metric_gauge, metric_histogram};
+use esched_obs::{metric_counter, metric_gauge, metric_histogram};
 
 /// A batch executor with a fixed worker count.
 ///
@@ -137,8 +131,8 @@ impl Pool {
             return Vec::new();
         }
         let workers = self.threads.min(n).max(1);
-        let _span = crate::span!(
-            crate::Level::Debug,
+        let _span = esched_obs::span!(
+            esched_obs::Level::Debug,
             "engine_batch",
             jobs = n,
             workers = workers,
@@ -163,32 +157,6 @@ impl Pool {
 
         metric_histogram!("esched.engine.batch_wall_ns").record_duration(t0.elapsed());
         out
-    }
-
-    /// Fan borrowed jobs across the pool and return the results in
-    /// submission order, re-raising the first (lowest-index) panic on the
-    /// caller.
-    ///
-    /// This is the intra-solve primitive: callers hand out disjoint
-    /// `&mut` slices of one working vector (deterministic chunking), each
-    /// job computes independently of every other, and the merged output
-    /// is byte-identical at any worker count. Unlike
-    /// [`Pool::batch_map_with`] there is no per-worker context and no
-    /// per-job error collection — a panicking subproblem means the solve
-    /// itself is broken, so it propagates.
-    pub fn scoped_run<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        let out = self.batch_map_with(|| (), items, |(), item| f(item));
-        out.into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(e) => panic!("scoped_run job {} panicked: {}", e.index, e.message),
-            })
-            .collect()
     }
 
     fn run_pool<C, I, T, F, G>(
@@ -238,7 +206,7 @@ impl Pool {
                                 job = deques[victim].lock().expect("victim deque").pop_back();
                                 if job.is_some() {
                                     steals.fetch_add(1, Ordering::Relaxed);
-                                    crate::flight_event!("engine_steal", victim as u64);
+                                    esched_obs::flight_event!("engine_steal", victim as u64);
                                     break;
                                 }
                             }
@@ -253,7 +221,7 @@ impl Pool {
                     // Dynamic name → cold registry path; once per worker
                     // per batch, not per job.
                     let wall_ns = worker_start.elapsed().as_nanos().max(1) as u64;
-                    crate::metrics::gauge(&format!("esched.engine.worker_util.w{w}"))
+                    esched_obs::metrics::gauge(&format!("esched.engine.worker_util.w{w}"))
                         .set(busy_ns as f64 / wall_ns as f64);
                     let mut slots = results.lock().expect("results vector");
                     for (index, result) in local {
@@ -289,10 +257,10 @@ where
         Ok(value) => Ok(value),
         Err(payload) => {
             metric_counter!("esched.engine.panics").inc();
-            crate::flight_event!("engine_job_panic", index as u64);
+            esched_obs::flight_event!("engine_job_panic", index as u64);
             // Post-mortem flight dump: a no-op unless ESCHED_FLIGHT_DIR
             // is set, so tests that expect panics don't spray files.
-            let _ = crate::recorder::dump_post_mortem("engine job panic");
+            let _ = esched_obs::recorder::dump_post_mortem("engine job panic");
             // The panic may have left half-taken buffers behind; rebuild
             // the context rather than reason about their state.
             *c = ctx();
@@ -305,7 +273,7 @@ where
 }
 
 /// Stringify a panic payload (the common `&str` / `String` cases).
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -358,51 +326,5 @@ mod tests {
             .run_one_with(|| (), |_c: &mut ()| -> () { panic!("solo") })
             .unwrap_err();
         assert!(err.message.contains("solo"));
-    }
-
-    #[test]
-    fn scoped_run_merges_disjoint_slices_identically_at_any_width() {
-        let reference: Vec<f64> = (0..1000).map(|k| (k as f64).sin()).collect();
-        let mut outputs = Vec::new();
-        for threads in [1usize, 4, 8] {
-            let pool = Pool::with_threads(threads);
-            let mut x = vec![0.0f64; 1000];
-            {
-                let mut rest = x.as_mut_slice();
-                let mut jobs = Vec::new();
-                let mut base = 0usize;
-                while !rest.is_empty() {
-                    let take = rest.len().min(64);
-                    let (head, tail) = rest.split_at_mut(take);
-                    jobs.push((base, head));
-                    rest = tail;
-                    base += take;
-                }
-                pool.scoped_run(jobs, |(base, slice): (usize, &mut [f64])| {
-                    for (k, v) in slice.iter_mut().enumerate() {
-                        *v = ((base + k) as f64).sin();
-                    }
-                });
-            }
-            outputs.push(x);
-        }
-        for x in &outputs {
-            assert_eq!(
-                x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "scoped_run job 1 panicked")]
-    fn scoped_run_propagates_the_first_panic() {
-        let pool = Pool::with_threads(2);
-        let _ = pool.scoped_run(vec![0usize, 1, 2], |i| {
-            if i == 1 {
-                panic!("subproblem diverged");
-            }
-            i
-        });
     }
 }

@@ -103,18 +103,6 @@ impl AuditConfig {
     }
 }
 
-/// Primal/dual warm-start state carried from one audit to the next.
-struct AuditWarmState {
-    /// Per-task totals `X_i` of the previous optimum.
-    totals: Vec<f64>,
-    /// Unscaled dual point of the previous solve (`None` for the serial
-    /// solvers, which carry no dual state).
-    dual: Option<Vec<f64>>,
-    /// Flat dimension the dual was computed at; a changed layout
-    /// invalidates it.
-    dim: usize,
-}
-
 /// One audit job: an immutable snapshot of the live plan.
 struct AuditJob {
     tasks: TaskSet,
@@ -130,13 +118,10 @@ struct AuditShared {
     solve_options: SolveOptions,
     divergence_check: bool,
     /// Warm-start carrier between audits (same trick as online
-    /// re-certification): per-task totals of the previous audit's optimum
-    /// plus, when the solver has dual state (ADMM), its final dual point
-    /// and the flat dimension it belongs to. Totals survive task-set
-    /// growth (remapped via [`EnergyProgram::warm_start_from_totals`]);
-    /// duals are layout-bound, so they are applied only while `dim`
-    /// still matches.
-    warm: Mutex<Option<AuditWarmState>>,
+    /// re-certification): per-task totals `X_i` of the previous audit's
+    /// optimum, remapped onto the new layout via
+    /// [`EnergyProgram::warm_start_from_totals`].
+    warm_totals: Mutex<Option<Vec<f64>>>,
     /// Multiplier applied to the live energy before computing regret.
     /// `0.0` in production; fault-injection tests raise it to simulate a
     /// quality regression without perturbing the actual plan.
@@ -166,30 +151,18 @@ impl AuditShared {
             self.divergence_check && offline_energy.to_bits() != job.live_energy.to_bits();
 
         // E^OPT, warm-started from the previous audit when the task count
-        // still matches (arrivals grow the set between audits); a
-        // dual-carrying solver additionally resumes its prices while the
-        // flat layout is unchanged.
+        // still matches (arrivals grow the set between audits).
         let ep = EnergyProgram::new(&job.tasks, &timeline, job.cores, job.power);
-        let mut warm = self.warm.lock().unwrap_or_else(|e| e.into_inner());
+        let mut warm = self.warm_totals.lock().unwrap_or_else(|e| e.into_inner());
         let opts = match warm.as_ref() {
-            Some(w) if w.totals.len() == job.tasks.len() => {
-                let mut opts = self
-                    .solve_options
-                    .clone()
-                    .with_warm_start(ep.warm_start_from_totals(&w.totals));
-                if let Some(dual) = w.dual.as_ref().filter(|_| w.dim == ep.dim()) {
-                    opts = opts.with_warm_start_dual(dual.clone());
-                }
-                opts
-            }
+            Some(totals) if totals.len() == job.tasks.len() => self
+                .solve_options
+                .clone()
+                .with_warm_start(ep.warm_start_from_totals(totals)),
             _ => self.solve_options.clone(),
         };
         let sol = self.solver.solve(&ep, &opts);
-        *warm = Some(AuditWarmState {
-            totals: ep.total_times(&sol.x),
-            dual: sol.dual.clone(),
-            dim: ep.dim(),
-        });
+        *warm = Some(ep.total_times(&sol.x));
         drop(warm);
 
         let e_opt = sol.objective;
@@ -233,7 +206,7 @@ impl ShadowAuditor {
             solver: cfg.solver,
             solve_options: cfg.solve_options.clone(),
             divergence_check: cfg.divergence_check,
-            warm: Mutex::new(None),
+            warm_totals: Mutex::new(None),
             inflation_bits: AtomicU64::new(0.0f64.to_bits()),
         });
         let pending = Arc::new(AtomicBool::new(false));

@@ -5,7 +5,7 @@
 use crate::config::{Algorithm, ScheduleRequest};
 use crate::outcome::{DiscreteSummary, OptSummary, ScheduleOutcome, SimVerdict};
 use esched_core::{
-    allocate, allocate_even, build_outcome_with, ideal_schedule, optimal_energy_in_pool,
+    allocate, allocate_even, build_outcome_with, ideal_schedule, optimal_energy_in,
     quantize_schedule, AllocRequest, HeuristicOutcome, NecPoint, Pool, QuantizePolicy, Scratch,
 };
 use esched_obs::{RequestId, RequestScope, TraceCtx};
@@ -100,17 +100,13 @@ pub fn execute(scratch: &mut Scratch, request: &ScheduleRequest) -> ScheduleOutc
                 Algorithm::Der => (&other, &chosen),
                 Algorithm::Even => (&chosen, &other),
             };
-            // The decomposed solver reuses the intra-instance pool when
-            // one is materialized, so allocation and certification share
-            // a single set of workers; serial solvers ignore it.
-            let sol = optimal_energy_in_pool(
+            let sol = optimal_energy_in(
                 &request.tasks,
                 &timeline,
                 request.cores,
                 &request.power,
                 &cfg.solve_options,
                 kind,
-                intra_pool.as_ref(),
             );
             let e = sol.energy;
             let nec = NecPoint {

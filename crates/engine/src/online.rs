@@ -186,12 +186,6 @@ pub struct OnlineEngine {
     // Per-task totals X_i of the last certified optimum, if any — the
     // warm-start carrier across task-set mutations.
     last_opt_totals: Option<Vec<f64>>,
-    // Unscaled dual point of the last certified optimum, tagged with the
-    // flat dimension it belongs to. Unlike totals, duals are layout-bound
-    // — they are re-used only while `dim` is unchanged, letting a
-    // dual-carrying solver (ADMM) resume its consensus prices across
-    // no-layout-change replans.
-    last_opt_duals: Option<(usize, Vec<f64>)>,
     // Streaming SLO/health layer (obs::health), when enabled. Strictly
     // observational: recording never touches plan state, so byte-identity
     // with the offline pipeline is unaffected.
@@ -237,7 +231,6 @@ impl OnlineEngine {
             scratch,
             intra_pool: None,
             last_opt_totals: None,
-            last_opt_duals: None,
             health: None,
             auditor: None,
             events_seen: 0,
@@ -501,12 +494,10 @@ impl OnlineEngine {
     }
 
     /// Solve the convex program warm-started from the previous optimum's
-    /// per-task totals — and, for a dual-carrying solver whose flat
-    /// layout is unchanged, the previous dual point — and certify the
-    /// result.
+    /// per-task totals and certify the result.
     fn recertify_now(&mut self) -> RecertSummary {
         let ep = EnergyProgram::new(&self.task_set, &self.timeline, self.cores, self.power);
-        let mut opts = match &self.last_opt_totals {
+        let opts = match &self.last_opt_totals {
             Some(totals) => self
                 .config
                 .solve_options
@@ -514,18 +505,8 @@ impl OnlineEngine {
                 .with_warm_start(ep.warm_start_from_totals(totals)),
             None => self.config.solve_options.clone(),
         };
-        if let Some((dim, duals)) = &self.last_opt_duals {
-            if *dim == ep.dim() {
-                opts = opts.with_warm_start_dual(duals.clone());
-            }
-        }
-        let kind = self.config.solver.unwrap_or_default();
-        let sol = match self.intra_pool.as_ref() {
-            Some(pool) => kind.solve_in(&ep, &opts, pool),
-            None => kind.solve(&ep, &opts),
-        };
+        let sol = self.config.solver.unwrap_or_default().solve(&ep, &opts);
         self.last_opt_totals = Some(ep.total_times(&sol.x));
-        self.last_opt_duals = sol.dual.map(|d| (ep.dim(), d));
         RecertSummary {
             kkt: kkt_report(&ep, &sol.x),
             converged: sol.converged,

@@ -2,7 +2,7 @@
 //!
 //! The pool machinery itself (per-worker deques, steal-from-back,
 //! submission-order results, per-worker [`Scratch`] arenas, panic
-//! isolation) lives in [`esched_obs::pool`] so the allocator can also
+//! isolation) lives in [`esched_core::pool`] so the allocator can also
 //! fan one instance's columns across it; [`Engine`] is the
 //! request/outcome wrapper the service layer uses: same sizing rules,
 //! same determinism contract (results indexed by submission order, so

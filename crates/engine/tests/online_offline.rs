@@ -6,6 +6,7 @@ use esched_engine::online::{OnlineEngine, OnlineEvent};
 use esched_engine::{AuditConfig, Engine, EngineConfig};
 use esched_obs::health::{HealthState, SloPolicy};
 use esched_obs::json::ToJson;
+use esched_opt::SolverKind;
 use esched_types::{PolynomialPower, Task, TaskSet};
 use esched_workload::{GeneratorConfig, WorkloadGenerator};
 use std::time::Duration;
@@ -165,6 +166,34 @@ fn verify_and_recertify_accept_repaired_plans() {
     engine
         .verify_current()
         .expect("final plan fails the oracle");
+}
+
+#[test]
+fn exact_recertification_certifies_every_repair_at_1e_9() {
+    let mut engine = OnlineEngine::new(seed_set(), 4, PolynomialPower::paper(3.0, 0.1))
+        .with_config(EngineConfig::new().with_solver(SolverKind::Exact))
+        .with_recertify(true);
+    let events = mixed_events();
+    assert!(events.iter().any(|e| matches!(e, OnlineEvent::Arrive(_))));
+    assert!(events
+        .iter()
+        .any(|e| matches!(e, OnlineEvent::Complete { .. })));
+    assert!(events
+        .iter()
+        .any(|e| matches!(e, OnlineEvent::Shift { .. })));
+    for event in &events {
+        let report = engine.apply(event).expect("event rejected");
+        let recert = report.recertified.expect("recertification enabled");
+        assert!(
+            recert.converged,
+            "exact solve did not converge after {event:?}"
+        );
+        assert!(
+            recert.kkt.is_optimal(1e-9),
+            "exact optimum not certified at 1e-9 after {event:?}: {:?}",
+            recert.kkt
+        );
+    }
 }
 
 #[test]

@@ -1,11 +1,10 @@
 //! Solver study: every [`SolverKind`] on the energy program at several
-//! instance sizes — the exact min-cut solver, and the two iterative
-//! methods measured against it (projected gradient, the harness default,
-//! and the decomposed parallel consensus ADMM).
+//! instance sizes — the exact min-cut solver, and projected gradient (the
+//! harness default) measured against it.
 //!
 //! This is the evidence behind trusting the NEC normalizations: the
-//! iterative objectives must sit within their certified duality gaps of
-//! the exact optimum, well below the margins the figures report.
+//! iterative objective must sit within its certified duality gap of the
+//! exact optimum, well below the margins the figures report.
 
 use crate::report::write_artifact;
 use esched_obs::chrome::{convergence_trace, ConvergencePoint};

@@ -329,7 +329,7 @@ pub struct ConvergencePoint {
     /// gap check; non-finite values are skipped in the rendering).
     pub gap: f64,
     /// Step size / step-quality scalar (solver-specific: step length for
-    /// projected gradient, primal residual norm for ADMM).
+    /// projected gradient, 0 for the exact solver's single point).
     pub step: f64,
 }
 

@@ -51,12 +51,6 @@
 //! * [`rng`] — a deterministic, seedable ChaCha8 generator so workloads
 //!   and randomized tests are reproducible bit-for-bit without external
 //!   RNG crates.
-//! * [`pool`] — the std-only work-stealing thread pool every parallel
-//!   consumer shares: `esched-engine` for whole requests, `esched-core`'s
-//!   allocator for heavy subinterval ranges, and `esched-opt`'s
-//!   decomposed ADMM solver for per-task subproblems
-//!   ([`pool::Pool::scoped_run`]). It lives here, below the algorithm
-//!   crates, precisely so `esched-opt` can use it without a cycle.
 //!
 //! The span hierarchy wired through the workspace (see DESIGN.md,
 //! "Observability"):
@@ -68,7 +62,7 @@
 //! ├── allocate_der | allocate_even      (esched-core, DEBUG; n_heavy field)
 //! └── refine_frequencies                (esched-core, DEBUG)
 //! reclaim_der / quantize_schedule       (esched-core, DEBUG)
-//! solve_pgd|solve_admm|solve_exact     (esched-opt, DEBUG; WARN on cap)
+//! solve_pgd | solve_exact               (esched-opt, DEBUG; WARN on cap)
 //! simulate                              (esched-sim, INFO; counter event)
 //! check_fuzz                            (esched-check, INFO; per-iteration
 //!                                        violation / shrink counters)
@@ -83,7 +77,6 @@ pub mod export;
 pub mod health;
 pub mod json;
 pub mod metrics;
-pub mod pool;
 pub mod recorder;
 pub mod report;
 pub mod rng;
@@ -97,7 +90,6 @@ pub use health::{
     WindowedCounter, WindowedSketch,
 };
 pub use json::{FromJson, JsonError, ToJson, Value};
-pub use pool::{Pool, PoolError};
 pub use recorder::{FlightKind, FlightRecord, FlightSpan};
 pub use report::{RunReport, TrialRecord};
 pub use rng::ChaCha8;

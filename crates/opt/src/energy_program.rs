@@ -21,8 +21,8 @@
 //! subinterval — so Euclidean projection decomposes blockwise
 //! ([`crate::projection`]). This module owns the variable layout, the
 //! objective/gradient oracle, blockwise projection and LMO, and a feasible
-//! starting point. The iterative solvers in [`crate::gradient`] and
-//! [`crate::admm`] are generic over this oracle.
+//! starting point. The iterative solver in [`crate::gradient`] is generic
+//! over this oracle.
 
 // Indexed loops below walk several parallel arrays at once; iterator
 // zips would obscure the numerics. Silence clippy's range-loop lint here.
@@ -124,11 +124,6 @@ impl EnergyProgram {
         self.deltas[sub]
     }
 
-    /// The power parameters `(γ, α, p₀)` the objective was built with.
-    pub fn power_parameters(&self) -> (f64, f64, f64) {
-        (self.power.gamma, self.power.alpha, self.power.p0)
-    }
-
     /// Execution requirement `C_i` of task `i`.
     pub fn work_of_task(&self, task: usize) -> f64 {
         self.works[task]
@@ -137,15 +132,6 @@ impl EnergyProgram {
     /// The contiguous subinterval range `[a, b)` task `i`'s window covers.
     pub fn span_of_task(&self, task: usize) -> (usize, usize) {
         self.spans[task]
-    }
-
-    /// Flat-variable offset of task `i`'s block; its variables are
-    /// `flat[offset .. offset + (b − a)]` for `(a, b) =`
-    /// [`EnergyProgram::span_of_task`], ordered by subinterval. The
-    /// decomposed ADMM solver leans on this contiguity to hand disjoint
-    /// `&mut` task blocks to pool workers.
-    pub fn offset_of_task(&self, task: usize) -> usize {
-        self.offsets[task]
     }
 
     /// Flat indices of the variables participating in subinterval `j`'s

@@ -139,7 +139,6 @@ pub fn solve_exact(ep: &EnergyProgram) -> SolveResult {
         converged: true,
         telemetry,
         iter_trace: None,
-        dual: None,
     }
 }
 

@@ -168,7 +168,6 @@ pub fn solve_pgd(ep: &EnergyProgram, x0: Vec<f64>, opts: &SolveOptions) -> Solve
         converged,
         telemetry,
         iter_trace,
-        dual: None,
     }
 }
 

@@ -91,8 +91,7 @@ pub fn kkt_report(ep: &EnergyProgram, x: &[f64]) -> KktReport {
 /// subinterval this takes the mean of `−g_k` over its interior variables
 /// (clamped into the dual-feasible interval the boundary variables allow);
 /// a block with no interior variable falls back to the midpoint of that
-/// interval. The output is the price vector the decomposed ADMM solver's
-/// consensus duals converge to, and the input to [`price_certificate`].
+/// interval. The output is the input to [`price_certificate`].
 pub fn subinterval_prices(ep: &EnergyProgram, x: &[f64]) -> Vec<f64> {
     let dim = ep.dim();
     assert_eq!(x.len(), dim);
@@ -150,10 +149,10 @@ pub fn subinterval_prices(ep: &EnergyProgram, x: &[f64]) -> Vec<f64> {
 /// complementary slackness (`μ_j · (m·Δ_j − Σ_i x_{i,j}) = 0`), scaled
 /// relative to `1 + |E(x)|`.
 ///
-/// Zero exactly at a KKT point with correct prices; the ADMM smoke checks
-/// feed it the prices recovered by [`subinterval_prices`] to certify a
-/// decomposed solve with an explicit dual witness rather than only the
-/// projected-gradient residual.
+/// Zero exactly at a KKT point with correct prices; feed it the prices
+/// recovered by [`subinterval_prices`] to certify a solve with an
+/// explicit dual witness rather than only the projected-gradient
+/// residual.
 pub fn price_certificate(ep: &EnergyProgram, x: &[f64], prices: &[f64]) -> f64 {
     let dim = ep.dim();
     assert_eq!(x.len(), dim);

@@ -20,9 +20,6 @@
 //!   critical-speed floor — the ground-truth `E^OPT`,
 //! * [`gradient`] — projected gradient descent, the iterative default the
 //!   experiment harness uses,
-//! * [`admm`] — consensus ADMM with exact per-task proximal solves fanned
-//!   across the shared worker pool: the decomposed, parallel iterative
-//!   cross-check, and the only solver with dual (price) state,
 //! * [`kkt`] — solver-independent optimality certification,
 //! * [`scalar`] — bisection / safeguarded Newton / golden section,
 //! * [`least_squares`] — the `p(f) = γf^α + p₀` power-curve fit
@@ -33,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admm;
 pub mod energy_program;
 pub mod exact;
 pub mod flow;
@@ -44,7 +40,6 @@ pub mod projection;
 pub mod scalar;
 pub mod solver;
 
-pub use admm::{solve_admm, solve_admm_in};
 pub use energy_program::EnergyProgram;
 pub use exact::solve_exact;
 pub use flow::{feasible_at_frequency, min_frequency_by_flow, Dinic, TaskNetwork};

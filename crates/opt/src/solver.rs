@@ -1,9 +1,8 @@
 //! Shared solver options and result types for the energy-program solvers,
-//! plus [`SolverKind`] — the by-value handle that dispatches to the three
+//! plus [`SolverKind`] — the by-value handle that dispatches to the two
 //! entry points so callers can pick a solver without function pointers.
 
 use crate::energy_program::EnergyProgram;
-use esched_obs::pool::Pool;
 
 /// Options shared by all first-order solvers.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,20 +21,12 @@ pub struct SolveOptions {
     /// How often (in iterations) to evaluate the duality gap; the gap costs
     /// a gradient + LMO, so checking every iteration is wasteful.
     pub gap_check_every: usize,
-    /// Optional starting iterate for the iterative solvers (PGD, ADMM).
+    /// Optional starting iterate for the iterative solver (PGD).
     /// Validated against the program's dimension and projected onto the
     /// feasible set before use; a mismatched or absent warm start falls
     /// back to [`EnergyProgram::initial_point`]. The exact solver ignores
     /// it (it has no iterate to start from).
     pub warm_start: Option<Vec<f64>>,
-    /// Optional starting dual point (per-variable multipliers, length
-    /// [`EnergyProgram::dim`]) for solvers that maintain one — currently
-    /// only ADMM, whose consensus prices converge along with the primal
-    /// iterate. Validated for dimension and finiteness; ignored (never an
-    /// error) by solvers without dual state or on mismatch, so it is safe
-    /// to carry a stale dual across online replans. Filled from
-    /// [`SolveResult::dual`] of the previous solve.
-    pub warm_start_dual: Option<Vec<f64>>,
     /// Record one [`IterSample`] per iteration into
     /// [`SolveResult::iter_trace`]. Off by default: the trace allocates
     /// (one small struct per iteration), so it is an opt-in diagnostic
@@ -53,7 +44,6 @@ impl Default for SolveOptions {
             stall_iters: 25,
             gap_check_every: 10,
             warm_start: None,
-            warm_start_dual: None,
             trace_iters: false,
         }
     }
@@ -70,7 +60,6 @@ impl SolveOptions {
             stall_iters: 15,
             gap_check_every: 10,
             warm_start: None,
-            warm_start_dual: None,
             trace_iters: false,
         }
     }
@@ -84,7 +73,6 @@ impl SolveOptions {
             stall_iters: 50,
             gap_check_every: 20,
             warm_start: None,
-            warm_start_dual: None,
             trace_iters: false,
         }
     }
@@ -92,13 +80,6 @@ impl SolveOptions {
     /// Builder-style warm start.
     pub fn with_warm_start(mut self, x0: Vec<f64>) -> Self {
         self.warm_start = Some(x0);
-        self
-    }
-
-    /// Builder-style dual warm start (see
-    /// [`SolveOptions::warm_start_dual`]).
-    pub fn with_warm_start_dual(mut self, y0: Vec<f64>) -> Self {
-        self.warm_start_dual = Some(y0);
         self
     }
 
@@ -121,19 +102,6 @@ impl SolveOptions {
         ep.project(guess, &mut out);
         debug_assert!(ep.is_feasible(&out, 1e-6));
         Some(out)
-    }
-
-    /// The validated dual warm start for `ep`, if one is set and
-    /// dimension-compatible with all-finite entries. Unlike
-    /// [`SolveOptions::warm_point`] there is no projection — duals are
-    /// unconstrained — but a mismatched or non-finite vector is silently
-    /// dropped so stale duals can never poison a solve.
-    pub fn warm_duals(&self, ep: &EnergyProgram) -> Option<&[f64]> {
-        let duals = self.warm_start_dual.as_ref()?;
-        if duals.len() != ep.dim() || duals.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        Some(duals)
     }
 }
 
@@ -158,8 +126,8 @@ pub(crate) fn sanitize_start(ep: &EnergyProgram, x0: Vec<f64>) -> Vec<f64> {
 
 /// Which method solves the energy program.
 ///
-/// The three free functions ([`crate::solve_pgd`], [`crate::solve_admm`],
-/// [`crate::solve_exact`]) remain the low-level entry points;
+/// The two free functions ([`crate::solve_pgd`], [`crate::solve_exact`])
+/// remain the low-level entry points;
 /// [`SolverKind::solve`] dispatches to them so configuration surfaces
 /// (`EngineConfig`, the solver study, CLI flags) can select a solver by
 /// value instead of threading function pointers and adapters around.
@@ -168,13 +136,6 @@ pub enum SolverKind {
     /// Projected gradient descent with backtracking (default).
     #[default]
     ProjectedGradient,
-    /// Consensus ADMM: per-task subproblems solved exactly (bisection on
-    /// the task's share total) and fanned across the shared worker pool,
-    /// coordinated by per-subinterval prices with an over-relaxed update.
-    /// The only parallel solver, and the only one with dual state —
-    /// [`SolveResult::dual`] is `Some` and
-    /// [`SolveOptions::warm_start_dual`] is honored.
-    Admm,
     /// The exact combinatorial optimum by min-cut peeling
     /// ([`crate::exact`]): no tolerance, no iterate, and `iters` counts
     /// max-flow computations.
@@ -182,30 +143,14 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
-    /// All three kinds, in study order.
-    pub const ALL: [SolverKind; 3] = [
-        SolverKind::ProjectedGradient,
-        SolverKind::Admm,
-        SolverKind::Exact,
-    ];
+    /// Both kinds, in study order.
+    pub const ALL: [SolverKind; 2] = [SolverKind::ProjectedGradient, SolverKind::Exact];
 
     /// Solve `ep` with this method. PGD starts from
     /// [`SolveOptions::warm_start`] when it is set (validated and
-    /// projected), otherwise from [`EnergyProgram::initial_point`]; ADMM
-    /// reads its primal and dual warm starts itself; the exact solver
-    /// ignores every option but [`SolveOptions::trace_iters`].
+    /// projected), otherwise from [`EnergyProgram::initial_point`]; the
+    /// exact solver ignores every option but [`SolveOptions::trace_iters`].
     pub fn solve(&self, ep: &EnergyProgram, opts: &SolveOptions) -> SolveResult {
-        // A fresh env-sized pool per solve: the pool struct is one usize
-        // (threads spawn per batch call), so this is free, and it keeps
-        // `ESCHED_ENGINE_THREADS` live-reconfigurable between solves.
-        self.solve_in(ep, opts, &Pool::new())
-    }
-
-    /// Like [`SolverKind::solve`], but ADMM fans its per-task subproblems
-    /// across the supplied `pool` instead of an env-sized one. The serial
-    /// solvers ignore `pool`. Results are byte-identical at any worker
-    /// count, so pool choice is purely a throughput knob.
-    pub fn solve_in(&self, ep: &EnergyProgram, opts: &SolveOptions, pool: &Pool) -> SolveResult {
         match self {
             SolverKind::ProjectedGradient => {
                 let x0 = if let Some(x0) = opts.warm_point(ep) {
@@ -216,7 +161,6 @@ impl SolverKind {
                 };
                 crate::gradient::solve_pgd(ep, x0, opts)
             }
-            SolverKind::Admm => crate::admm::solve_admm_in(ep, opts, pool),
             SolverKind::Exact => {
                 let mut r = crate::exact::solve_exact(ep);
                 // No iterate sequence: the trace is the one final point.
@@ -237,7 +181,6 @@ impl SolverKind {
     pub fn name(&self) -> &'static str {
         match self {
             SolverKind::ProjectedGradient => "pgd",
-            SolverKind::Admm => "admm",
             SolverKind::Exact => "exact",
         }
     }
@@ -292,8 +235,7 @@ impl SolverTelemetry {
     /// - `esched.opt.cap_hits` — solves that exhausted the iteration cap,
     /// - `esched.opt.solve_wall_ns` — per-solve wall time histogram.
     ///
-    /// `solver` is the [`SolverKind::name`] (`"pgd"`, `"admm"`,
-    /// `"exact"`).
+    /// `solver` is the [`SolverKind::name`] (`"pgd"` or `"exact"`).
     pub fn publish(&self, solver: &str) {
         use esched_obs::{metric_counter, metric_histogram, metrics};
         metric_counter!("esched.opt.solves").inc();
@@ -313,9 +255,8 @@ impl SolverTelemetry {
 /// [`SolveOptions::trace_iters`] is on.
 ///
 /// Every solver emits the same shape; `step` is the solver's own
-/// step-quality scalar — the accepted step size for PGD and the primal
-/// residual norm for ADMM. The exact solver emits one sample, its final
-/// point, with `step = 0`.
+/// step-quality scalar — the accepted step size for PGD. The exact solver
+/// emits one sample, its final point, with `step = 0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterSample {
     /// 1-based iteration number (the max-flow count for the exact
@@ -347,10 +288,4 @@ pub struct SolveResult {
     /// Per-iteration convergence samples — present iff
     /// [`SolveOptions::trace_iters`] was set.
     pub iter_trace: Option<Vec<IterSample>>,
-    /// Final dual point (per-variable consensus multipliers, unscaled by
-    /// the penalty so a future solve can adopt them under any `ρ`). `Some`
-    /// only for solvers with dual state — currently ADMM. Feed it back via
-    /// [`SolveOptions::with_warm_start_dual`] to warm-start the prices on
-    /// a re-solve.
-    pub dual: Option<Vec<f64>>,
 }

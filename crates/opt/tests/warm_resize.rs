@@ -3,15 +3,13 @@
 //! When the online engine re-certifies energy after an arrival or
 //! completion, the `EnergyProgram` dimension changes between solves. A
 //! stale warm start must never panic or silently corrupt the solve: the
-//! iterative solvers sanitize the start (wrong dimension or non-finite
+//! iterative solver sanitizes the start (wrong dimension or non-finite
 //! entries fall back to the canonical interior point; feasible points
 //! pass through untouched), and `warm_start_from_totals` carries the old
 //! optimum's per-task totals into the new geometry. The exact optimum of
 //! the grown program is the reference every warm solve must reach.
 
-use esched_opt::{
-    kkt_report, solve_admm, solve_exact, solve_pgd, EnergyProgram, SolveOptions, SolverKind,
-};
+use esched_opt::{kkt_report, solve_exact, solve_pgd, EnergyProgram, SolveOptions, SolverKind};
 use esched_subinterval::Timeline;
 use esched_types::{PolynomialPower, TaskSet};
 
@@ -39,36 +37,19 @@ fn wrong_dimension_warm_start_does_not_panic_and_still_converges() {
     let ep_new = program(&grown(), 2);
     assert_ne!(ep_old.dim(), ep_new.dim(), "mutation must change dim");
 
-    // A stale optimum (and ADMM dual) from the old program, fed raw into
-    // every direct entry point of the new one.
-    let old = solve_admm(&ep_old, &SolveOptions::default());
-    let stale = old.x;
-    let stale_dual = old.dual.expect("admm returns its dual point");
+    // A stale optimum from the old program, fed raw into the iterative
+    // solver's direct entry point for the new one.
+    let stale = solve_exact(&ep_old).x;
     let cold = solve_exact(&ep_new).objective;
 
-    for (name, r) in [
-        (
-            "pgd",
-            solve_pgd(&ep_new, stale.clone(), &SolveOptions::precise()),
-        ),
-        (
-            "admm",
-            solve_admm(
-                &ep_new,
-                &SolveOptions::precise()
-                    .with_warm_start(stale.clone())
-                    .with_warm_start_dual(stale_dual.clone()),
-            ),
-        ),
-    ] {
-        assert_eq!(r.x.len(), ep_new.dim(), "{name}: wrong output dim");
-        assert!(ep_new.is_feasible(&r.x, 1e-6), "{name}: infeasible result");
-        assert!(
-            (r.objective - cold).abs() < 1e-4 * (1.0 + cold),
-            "{name}: warm {} vs cold {cold}",
-            r.objective
-        );
-    }
+    let r = solve_pgd(&ep_new, stale, &SolveOptions::precise());
+    assert_eq!(r.x.len(), ep_new.dim(), "wrong output dim");
+    assert!(ep_new.is_feasible(&r.x, 1e-6), "infeasible result");
+    assert!(
+        (r.objective - cold).abs() < 1e-4 * (1.0 + cold),
+        "warm {} vs cold {cold}",
+        r.objective
+    );
 }
 
 #[test]
@@ -85,13 +66,10 @@ fn non_finite_warm_start_is_replaced() {
 fn solver_kind_with_stale_warm_start_on_grown_program_is_safe() {
     let ep_old = program(&small(), 2);
     let ep_new = program(&grown(), 2);
-    let old = SolverKind::Admm.solve(&ep_old, &SolveOptions::default());
-    let stale_dual = old.dual.expect("admm returns its dual point");
+    let old = SolverKind::Exact.solve(&ep_old, &SolveOptions::default());
     let cold = solve_exact(&ep_new).objective;
     for kind in SolverKind::ALL {
-        let opts = SolveOptions::precise()
-            .with_warm_start(old.x.clone())
-            .with_warm_start_dual(stale_dual.clone());
+        let opts = SolveOptions::precise().with_warm_start(old.x.clone());
         let r = kind.solve(&ep_new, &opts);
         assert_eq!(r.x.len(), ep_new.dim());
         assert!(
