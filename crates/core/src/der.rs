@@ -29,32 +29,18 @@ use esched_types::{PolynomialPower, TaskSet};
 /// validate_schedule(&out.schedule, &tasks).assert_legal();
 /// ```
 pub fn der_schedule(tasks: &TaskSet, cores: usize, power: &PolynomialPower) -> HeuristicOutcome {
-    der_schedule_with(tasks, cores, power, &mut Scratch::new())
-}
-
-/// [`der_schedule`] reusing the buffers in `scratch` — the timeline's
-/// boundary/subinterval vectors, Algorithm 2's DER staging list, and
-/// Algorithm 1's pack-item buffer all survive into the next call, so a
-/// batch driver touches the allocator only when an instance outgrows every
-/// previous one.
-pub fn der_schedule_with(
-    tasks: &TaskSet,
-    cores: usize,
-    power: &PolynomialPower,
-    scratch: &mut Scratch,
-) -> HeuristicOutcome {
     let _span = esched_obs::span!(
         esched_obs::Level::Info,
         "der_schedule",
         n_tasks = tasks.len(),
         cores = cores,
     );
-    let timeline = Timeline::build_with(tasks, &mut scratch.timeline);
+    let mut scratch = Scratch::new();
+    let timeline = Timeline::build(tasks);
     let ideal = ideal_schedule(tasks, power);
-    let avail = allocate(AllocRequest::new(tasks, &timeline, cores, &ideal).with_scratch(scratch));
-    let out = build_outcome_with(tasks, &timeline, cores, power, &ideal, avail, scratch);
-    scratch.timeline.recycle(timeline);
-    out
+    let avail =
+        allocate(AllocRequest::new(tasks, &timeline, cores, &ideal).with_scratch(&mut scratch));
+    build_outcome_with(tasks, &timeline, cores, power, &ideal, avail, &mut scratch)
 }
 
 #[cfg(test)]

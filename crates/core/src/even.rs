@@ -2,8 +2,7 @@
 
 use crate::allocation::allocate_even;
 use crate::ideal::ideal_schedule;
-use crate::refine::{build_outcome_with, HeuristicOutcome};
-use crate::scratch::Scratch;
+use crate::refine::{build_outcome, HeuristicOutcome};
 use esched_subinterval::Timeline;
 use esched_types::{PolynomialPower, TaskSet};
 
@@ -29,29 +28,16 @@ use esched_types::{PolynomialPower, TaskSet};
 /// assert!(out.final_energy <= out.intermediate_energy);
 /// ```
 pub fn even_schedule(tasks: &TaskSet, cores: usize, power: &PolynomialPower) -> HeuristicOutcome {
-    even_schedule_with(tasks, cores, power, &mut Scratch::new())
-}
-
-/// [`even_schedule`] reusing the buffers in `scratch`; see
-/// [`crate::der::der_schedule_with`] for the reuse contract.
-pub fn even_schedule_with(
-    tasks: &TaskSet,
-    cores: usize,
-    power: &PolynomialPower,
-    scratch: &mut Scratch,
-) -> HeuristicOutcome {
     let _span = esched_obs::span!(
         esched_obs::Level::Info,
         "even_schedule",
         n_tasks = tasks.len(),
         cores = cores,
     );
-    let timeline = Timeline::build_with(tasks, &mut scratch.timeline);
+    let timeline = Timeline::build(tasks);
     let ideal = ideal_schedule(tasks, power);
     let avail = allocate_even(tasks, &timeline, cores);
-    let out = build_outcome_with(tasks, &timeline, cores, power, &ideal, avail, scratch);
-    scratch.timeline.recycle(timeline);
-    out
+    build_outcome(tasks, &timeline, cores, power, &ideal, avail)
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! * [`allocation`] — available-time allocation: light subintervals,
 //!   the evenly allocating rule, and Algorithm 2 (DER-based),
 //! * [`packing`] — Algorithm 1 (wrap-around collision-free packing),
-//! * [`refine`] — intermediate/final schedule construction and the final
-//!   frequency setting (Eq. 22-23),
+//! * [`refine`] — the final frequency setting (Eq. 22-23) and
+//!   intermediate/final schedule materialization,
 //! * [`even`] / [`der`] — the two methods end-to-end (`S^F1`, `S^F2`),
 //! * [`optimal`] — the convex-programming optimum `E^OPT` with schedule
 //!   extraction (Theorem 1),
@@ -18,15 +18,16 @@
 //! * [`core_count`] — the Section VI.D core-count selection sweep,
 //! * [`replan`] — non-clairvoyant event-driven replanning (aperiodic
 //!   arrivals not known in advance),
-//! * [`nec`] — Normalized Energy Consumption evaluation used by every
-//!   experiment,
+//! * [`nec`] — the Normalized Energy Consumption point every experiment
+//!   reports, and its per-setting mean and spread,
 //! * [`pool`] — the shared work-stealing [`Pool`] used for batch jobs and
 //!   for intra-instance fan-out of the DER allocator.
 //!
 //! The pipeline is instrumented with `esched-obs` tracing spans:
 //! `der_schedule`/`even_schedule` at INFO, and `timeline_build`,
 //! `ideal_schedule`, `allocate_even`/`allocate_der`,
-//! `refine_frequencies`, `reclaim_der`, and `quantize_schedule` at
+//! `refine_frequencies`, `materialize_schedules`, `reclaim_der`, and
+//! `quantize_schedule` at
 //! DEBUG. All of it is off (one atomic load per call site) unless a
 //! subscriber is installed via `esched_obs::trace::init_from_env`
 //! (`ESCHED_LOG=debug`, or per-crate like `esched_core=debug,info`).
@@ -59,14 +60,14 @@ pub use allocation::{
 };
 pub use baselines::{partitioned_yds, uniform_frequency, BaselineOutcome};
 pub use core_count::{select_core_count, CoreCountChoice, Method};
-pub use der::{der_schedule, der_schedule_with};
+pub use der::der_schedule;
 pub use discrete::{
     best_discrete_split, quantize_schedule, requantize_schedule, two_level_assignment,
     two_level_split, DiscreteOutcome, QuantizePolicy, TwoLevelSplit,
 };
-pub use even::{even_schedule, even_schedule_with};
+pub use even::even_schedule;
 pub use ideal::{ideal_schedule, IdealSolution};
-pub use nec::{evaluate_nec, evaluate_nec_full, mean_nec, std_nec, NecEvaluation, NecPoint};
+pub use nec::{mean_nec, std_nec, NecPoint};
 pub use optimal::{
     optimal_energy, optimal_energy_in, optimal_energy_in_pool, optimal_energy_with, OptimalSolution,
 };
@@ -75,8 +76,8 @@ pub use pool::{Pool, PoolError};
 pub use quality::{analyze, ScheduleQuality, TaskQuality};
 pub use reclaim::{no_reclaim_energy, reclaim_der, ReclaimOutcome};
 pub use refine::{
-    build_outcome, build_outcome_with, final_assignment, final_schedule, final_schedule_with,
-    intermediate_schedule, intermediate_schedule_with, HeuristicOutcome,
+    build_outcome, build_outcome_with, final_assignment, final_schedule_with,
+    intermediate_schedule_with, materialize_schedules, refine_frequencies, HeuristicOutcome,
 };
 pub use replan::{replan_der, ReplanOutcome};
 pub use scratch::Scratch;

@@ -22,8 +22,8 @@ pub struct OptimalSolution {
     /// Solver iterations used.
     pub iters: usize,
     /// Full solver telemetry (iterations, stalls, gap evaluations, wall
-    /// time) — what [`crate::nec::evaluate_nec_full`] forwards into run
-    /// reports.
+    /// time) — what the engine's `OptSummary::telemetry` forwards into
+    /// run reports.
     pub telemetry: SolverTelemetry,
     /// Per-task total execution times `X_i` at the optimum.
     pub total_times: Vec<f64>,

@@ -15,6 +15,8 @@
 //! Both are materialized into concrete [`Schedule`]s via Algorithm 1
 //! ([`crate::packing`]) so they can be validated and simulated; their
 //! energies are the analytic `E^I`/`E^F` of the paper.
+//! [`build_outcome`] is the two steps [`refine_frequencies`] and
+//! [`materialize_schedules`], which the engine runs and times one by one.
 
 use crate::allocation::AvailMatrix;
 use crate::ideal::IdealSolution;
@@ -47,17 +49,8 @@ pub struct HeuristicOutcome {
 /// Build the intermediate schedule: per subinterval, each overlapping task
 /// runs for `min(u, a)` where `u = |U_i^O ∩ sub|`, at frequency `f_i^O`
 /// when `u ≤ a` and at the squeezed `u·f_i^O/a` otherwise. The work
-/// completed per subinterval equals the ideal case's.
-pub fn intermediate_schedule(
-    timeline: &Timeline,
-    cores: usize,
-    ideal: &IdealSolution,
-    avail: &AvailMatrix,
-) -> Schedule {
-    intermediate_schedule_with(timeline, cores, ideal, avail, &mut Vec::new())
-}
-
-/// [`intermediate_schedule`] staging pack items in a caller-owned buffer.
+/// completed per subinterval equals the ideal case's. Pack items are
+/// staged in the caller-owned `items`.
 pub fn intermediate_schedule_with(
     timeline: &Timeline,
     cores: usize,
@@ -145,26 +138,8 @@ pub fn final_assignment(
 /// Materialize the final schedule: task `i` needs `d_i = C_i/f_i ≤ A_i`
 /// core time, spread over its available slots in proportion
 /// `x_{i,j} = a_{i,j}·d_i/A_i`, then packed per subinterval by Algorithm 1.
-pub fn final_schedule(
-    tasks: &TaskSet,
-    timeline: &Timeline,
-    cores: usize,
-    avail: &AvailMatrix,
-    assignment: &FrequencyAssignment,
-) -> Schedule {
-    final_schedule_with(
-        tasks,
-        timeline,
-        cores,
-        avail,
-        assignment,
-        &mut Vec::new(),
-        &mut Vec::new(),
-    )
-}
-
-/// [`final_schedule`] staging pack items and per-task scale factors in
-/// caller-owned buffers.
+/// Pack items and per-task scale factors are staged in caller-owned
+/// buffers.
 pub fn final_schedule_with(
     tasks: &TaskSet,
     timeline: &Timeline,
@@ -224,8 +199,53 @@ pub fn final_schedule_with(
     out
 }
 
-/// Assemble the full [`HeuristicOutcome`] from an availability matrix.
-/// Shared tail of the even and DER pipelines.
+/// The refine step: per-task totals `A_i = Σ_j a_{i,j}` (Neumaier-summed
+/// in column order, so every caller lands on the same bits), the final
+/// frequencies of Eq. 22-23 and the analytic energy. Returns the
+/// assignment, which carries the totals, and `E^F`.
+pub fn refine_frequencies(
+    tasks: &TaskSet,
+    avail: &AvailMatrix,
+    power: &PolynomialPower,
+) -> (FrequencyAssignment, f64) {
+    let _span = span!(Level::Debug, "refine_frequencies", n_tasks = tasks.len());
+    let assignment = final_assignment(tasks, &avail.totals(), power);
+    let works: Vec<f64> = tasks.tasks().iter().map(|t| t.wcec).collect();
+    let final_energy = assignment.energy(&works, power);
+    (assignment, final_energy)
+}
+
+/// The materialize step: both schedules packed by Algorithm 1, staging in
+/// `scratch`. Returns `(S^I, E^I, S^F)`.
+#[allow(clippy::too_many_arguments)]
+pub fn materialize_schedules(
+    tasks: &TaskSet,
+    timeline: &Timeline,
+    cores: usize,
+    power: &PolynomialPower,
+    ideal: &IdealSolution,
+    avail: &AvailMatrix,
+    assignment: &FrequencyAssignment,
+    scratch: &mut Scratch,
+) -> (Schedule, f64, Schedule) {
+    let _span = span!(Level::Debug, "materialize_schedules", n_tasks = tasks.len());
+    let intermediate =
+        intermediate_schedule_with(timeline, cores, ideal, avail, &mut scratch.items);
+    let schedule = final_schedule_with(
+        tasks,
+        timeline,
+        cores,
+        avail,
+        assignment,
+        &mut scratch.items,
+        &mut scratch.scale,
+    );
+    let intermediate_energy = intermediate.energy(power);
+    (intermediate, intermediate_energy, schedule)
+}
+
+/// Assemble the full [`HeuristicOutcome`] from an availability matrix:
+/// [`refine_frequencies`] then [`materialize_schedules`].
 pub fn build_outcome(
     tasks: &TaskSet,
     timeline: &Timeline,
@@ -255,36 +275,24 @@ pub fn build_outcome_with(
     avail: AvailMatrix,
     scratch: &mut Scratch,
 ) -> HeuristicOutcome {
-    let _span = span!(
-        Level::Debug,
-        "refine_frequencies",
-        n_tasks = tasks.len(),
-        n_subintervals = timeline.len(),
-        cores = cores,
-    );
-    let total_avail = avail.totals();
-    let assignment = final_assignment(tasks, &total_avail, power);
-    let intermediate =
-        intermediate_schedule_with(timeline, cores, ideal, &avail, &mut scratch.items);
-    let schedule = final_schedule_with(
+    let (assignment, final_energy) = refine_frequencies(tasks, &avail, power);
+    let (intermediate_schedule, intermediate_energy, schedule) = materialize_schedules(
         tasks,
         timeline,
         cores,
+        power,
+        ideal,
         &avail,
         &assignment,
-        &mut scratch.items,
-        &mut scratch.scale,
+        scratch,
     );
-    let works: Vec<f64> = tasks.tasks().iter().map(|t| t.wcec).collect();
-    let final_energy = assignment.energy(&works, power);
-    let intermediate_energy = intermediate.energy(power);
     HeuristicOutcome {
         avail,
-        total_avail,
+        total_avail: assignment.avail.clone(),
         assignment,
         intermediate_energy,
         final_energy,
-        intermediate_schedule: intermediate,
+        intermediate_schedule,
         schedule,
     }
 }

@@ -10,9 +10,10 @@
 //! the hot path*:
 //!
 //! 1. **Divergence check**: replay the from-scratch offline pipeline
-//!    (timeline build → ideal case → DER water-filling → final assignment)
-//!    on a snapshot of the live task set and compare its `E^{F2}` against
-//!    the engine's maintained energy *bit-for-bit*. Any mismatch means the
+//!    (the engine's front — timeline build → ideal case → DER
+//!    water-filling — then the refine step) on a snapshot of the live
+//!    task set and compare its `E^{F2}` against the engine's maintained
+//!    energy *bit-for-bit*. Any mismatch means the
 //!    incremental state has silently drifted — the one failure mode the
 //!    byte-identity tests cannot catch in production.
 //! 2. **Energy regret**: solve the convex program (warm-started from the
@@ -32,11 +33,12 @@
 //! non-blocking). [`AuditConfig::synchronous`] runs jobs inline on the
 //! caller instead, which tests use for determinism.
 
-use esched_core::{allocate, final_assignment, ideal_schedule, AllocRequest, Scratch};
+use crate::config::ScheduleRequest;
+use crate::exec::Stages;
+use esched_core::{refine_frequencies, Scratch};
 use esched_obs::health::HealthMonitor;
+use esched_obs::{RequestId, TraceCtx};
 use esched_opt::{EnergyProgram, SolveOptions, SolverKind};
-use esched_subinterval::Timeline;
-use esched_types::{PolynomialPower, TaskSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -103,12 +105,21 @@ impl AuditConfig {
     }
 }
 
-/// One audit job: an immutable snapshot of the live plan.
+/// One audit job: an immutable snapshot of the live plan, as the
+/// default-configured offline request on its task set.
 struct AuditJob {
-    tasks: TaskSet,
-    cores: usize,
-    power: PolynomialPower,
+    request: ScheduleRequest,
     live_energy: f64,
+}
+
+impl AuditJob {
+    fn of(live: &ScheduleRequest, live_energy: f64) -> Self {
+        let request = ScheduleRequest::new(live.tasks.clone(), live.cores, live.power);
+        Self {
+            request,
+            live_energy,
+        }
+    }
 }
 
 /// State shared between the sampler side and the audit worker.
@@ -137,25 +148,20 @@ impl AuditShared {
     fn run(&self, job: &AuditJob) {
         let _flight = esched_obs::flight_span!("shadow_audit_job");
         // From-scratch offline replay: must land on the live energy bits.
-        let timeline = Timeline::build(&job.tasks);
-        let ideal = ideal_schedule(&job.tasks, &job.power);
-        let mut scratch = Scratch::new();
-        let avail = allocate(
-            AllocRequest::new(&job.tasks, &timeline, job.cores, &ideal).with_scratch(&mut scratch),
-        );
-        let totals = avail.totals();
-        let assignment = final_assignment(&job.tasks, &totals, &job.power);
-        let works: Vec<f64> = job.tasks.tasks().iter().map(|t| t.wcec).collect();
-        let offline_energy = assignment.energy(&works, &job.power);
+        // Its phase timings are not reported anywhere.
+        let ScheduleRequest { tasks, power, .. } = &job.request;
+        let (timeline, _, avail) = Stages::new(&job.request, None)
+            .front(&mut TraceCtx::new(RequestId::next()), &mut Scratch::new());
+        let (_, offline_energy) = refine_frequencies(tasks, &avail, power);
         let diverged =
             self.divergence_check && offline_energy.to_bits() != job.live_energy.to_bits();
 
         // E^OPT, warm-started from the previous audit when the task count
         // still matches (arrivals grow the set between audits).
-        let ep = EnergyProgram::new(&job.tasks, &timeline, job.cores, job.power);
+        let ep = EnergyProgram::new(tasks, &timeline, job.request.cores, *power);
         let mut warm = self.warm_totals.lock().unwrap_or_else(|e| e.into_inner());
         let opts = match warm.as_ref() {
-            Some(totals) if totals.len() == job.tasks.len() => self
+            Some(totals) if totals.len() == tasks.len() => self
                 .solve_options
                 .clone()
                 .with_warm_start(ep.warm_start_from_totals(totals)),
@@ -270,36 +276,14 @@ impl ShadowAuditor {
     }
 
     /// Offer a sampled audit of the given plan snapshot (non-blocking).
-    pub(crate) fn offer_snapshot(
-        &self,
-        tasks: &TaskSet,
-        cores: usize,
-        power: PolynomialPower,
-        live_energy: f64,
-    ) {
-        self.offer(AuditJob {
-            tasks: tasks.clone(),
-            cores,
-            power,
-            live_energy,
-        });
+    pub(crate) fn offer_snapshot(&self, live: &ScheduleRequest, live_energy: f64) {
+        self.offer(AuditJob::of(live, live_energy));
     }
 
     /// Run one audit inline on the calling thread, bypassing the sampler
     /// and the busy check. Blocking and deterministic.
-    pub(crate) fn force(
-        &self,
-        tasks: &TaskSet,
-        cores: usize,
-        power: PolynomialPower,
-        live_energy: f64,
-    ) {
-        self.shared.run(&AuditJob {
-            tasks: tasks.clone(),
-            cores,
-            power,
-            live_energy,
-        });
+    pub(crate) fn force(&self, live: &ScheduleRequest, live_energy: f64) {
+        self.shared.run(&AuditJob::of(live, live_energy));
     }
 }
 

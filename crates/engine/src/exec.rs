@@ -1,17 +1,25 @@
 //! The per-instance pipeline: one [`ScheduleRequest`] in, one
 //! [`ScheduleOutcome`] out, all hot allocations drawn from a worker's
 //! [`Scratch`].
+//!
+//! [`Stages`] is the paper's chain written once: [`execute`] runs its
+//! front and tail, the online engine runs the tail on its maintained
+//! state, and its boot and the shadow audit run the front and
+//! [`refine_frequencies`]. Each stage is one [`TraceCtx::phase`]:
+//! `timeline`, `ideal`, `allocate`, `refine`, `materialize`, `solve`,
+//! `verify`, `discrete`.
 
-use crate::config::{Algorithm, ScheduleRequest};
+use crate::config::{Algorithm, EngineConfig, ScheduleRequest};
 use crate::outcome::{DiscreteSummary, OptSummary, ScheduleOutcome, SimVerdict};
 use esched_core::{
-    allocate, allocate_even, build_outcome_with, ideal_schedule, optimal_energy_in,
-    quantize_schedule, AllocRequest, HeuristicOutcome, NecPoint, Pool, QuantizePolicy, Scratch,
+    allocate, allocate_even, ideal_schedule, materialize_schedules, optimal_energy_in,
+    quantize_schedule, refine_frequencies, AllocRequest, AvailMatrix, IdealSolution, NecPoint,
+    Pool, QuantizePolicy, Scratch,
 };
 use esched_obs::{RequestId, RequestScope, TraceCtx};
 use esched_sim::simulate;
 use esched_subinterval::Timeline;
-use std::time::Instant;
+use esched_types::{PolynomialPower, Schedule, TaskSet};
 
 /// Run the full pipeline for one request.
 ///
@@ -31,139 +39,205 @@ pub fn execute(scratch: &mut Scratch, request: &ScheduleRequest) -> ScheduleOutc
         request.cores >= 1,
         "ScheduleRequest requires at least one core"
     );
-    let cfg = &request.config;
     let _span = esched_obs::span!(
         esched_obs::Level::Debug,
         "engine_execute",
         n_tasks = request.tasks.len(),
         cores = request.cores,
     );
-    // One timeline and one ideal solution feed every stage — the
-    // heuristics, the convex program, and the NEC normalization — instead
-    // of each rebuilding its own as the free functions do.
-    let t_phase = Instant::now();
-    let timeline = Timeline::build_with(&request.tasks, &mut scratch.timeline);
-    let ideal = ideal_schedule(&request.tasks, &request.power);
-    trace.record_phase("timeline", t_phase.elapsed());
-
-    let run_even = |scratch: &mut Scratch| -> HeuristicOutcome {
-        let avail = allocate_even(&request.tasks, &timeline, request.cores);
-        build_outcome_with(
-            &request.tasks,
-            &timeline,
-            request.cores,
-            &request.power,
-            &ideal,
-            avail,
-            scratch,
-        )
-    };
     // The intra-instance pool is only materialized when the knob is set;
     // it shares sizing rules (`ESCHED_ENGINE_THREADS`) with the batch
     // pool, and chunking keeps the outcome byte-identical either way.
-    let intra_pool = cfg.intra_parallelism.map(|_| Pool::new());
-    let run_der = |scratch: &mut Scratch| -> HeuristicOutcome {
-        let mut alloc_req = AllocRequest::new(&request.tasks, &timeline, request.cores, &ideal)
-            .with_scratch(&mut *scratch);
-        if let (Some(threshold), Some(pool)) = (cfg.intra_parallelism, intra_pool.as_ref()) {
-            alloc_req = alloc_req.with_pool(pool).with_parallel_threshold(threshold);
-        }
-        let avail = allocate(alloc_req);
-        build_outcome_with(
-            &request.tasks,
-            &timeline,
-            request.cores,
-            &request.power,
-            &ideal,
-            avail,
-            scratch,
-        )
-    };
-
-    let t_phase = Instant::now();
-    let chosen = match cfg.algorithm {
-        Algorithm::Der => run_der(scratch),
-        Algorithm::Even => run_even(scratch),
-    };
-    trace.record_phase("der_alloc", t_phase.elapsed());
-
-    let t_phase = Instant::now();
-    let (opt, nec, opt_x) = match cfg.solver {
-        Some(kind) => {
-            // NEC normalizes *both* heuristics, so run the one not chosen
-            // above as well.
-            let other = match cfg.algorithm {
-                Algorithm::Der => run_even(scratch),
-                Algorithm::Even => run_der(scratch),
-            };
-            let (even, der) = match cfg.algorithm {
-                Algorithm::Der => (&other, &chosen),
-                Algorithm::Even => (&chosen, &other),
-            };
-            let sol = optimal_energy_in(
-                &request.tasks,
-                &timeline,
-                request.cores,
-                &request.power,
-                &cfg.solve_options,
-                kind,
-            );
-            let e = sol.energy;
-            let nec = NecPoint {
-                ideal: ideal.energy / e,
-                i1: even.intermediate_energy / e,
-                f1: even.final_energy / e,
-                i2: der.intermediate_energy / e,
-                f2: der.final_energy / e,
-                opt_energy: e,
-            };
-            let opt = OptSummary {
-                solver: kind.name(),
-                energy: sol.energy,
-                gap: sol.gap,
-                iters: sol.iters,
-                converged: sol.telemetry.converged,
-                telemetry: cfg.telemetry.then_some(sol.telemetry),
-            };
-            (Some(opt), Some(nec), Some(sol.x))
-        }
-        None => (None, None, None),
-    };
-    trace.record_phase("solve", t_phase.elapsed());
+    let intra_pool = request.config.intra_parallelism.map(|_| Pool::new());
+    let stages = Stages::new(request, intra_pool.as_ref());
+    let (timeline, ideal, avail) = stages.front(&mut trace, scratch);
+    let outcome = stages.tail(trace, scratch, &timeline, &ideal, &avail);
     scratch.timeline.recycle(timeline);
+    outcome
+}
 
-    let t_phase = Instant::now();
-    let sim = cfg.sim_verify.then(|| {
-        let report = simulate(&chosen.schedule, &request.tasks, &request.power);
-        SimVerdict {
-            clean: report.is_clean(),
-            deadline_misses: report.deadline_misses.len(),
-            conflicts: report.conflicts.len(),
-            energy: report.energy,
-        }
-    });
-    trace.record_phase("sim_verify", t_phase.elapsed());
-    let t_phase = Instant::now();
-    let discrete = cfg.discrete.as_ref().map(|table| {
-        let out = quantize_schedule(&chosen.schedule, table, QuantizePolicy::NextUp);
-        DiscreteSummary {
-            energy: out.energy,
-            misses: out.misses.len(),
-            feasible: out.feasible,
-        }
-    });
-    trace.record_phase("discrete", t_phase.elapsed());
+/// The stages of one request's pipeline.
+pub(crate) struct Stages<'a> {
+    tasks: &'a TaskSet,
+    cores: usize,
+    power: &'a PolynomialPower,
+    config: &'a EngineConfig,
+    /// The intra-instance allocation pool; used only when
+    /// `config.intra_parallelism` is set.
+    intra_pool: Option<&'a Pool>,
+}
 
-    ScheduleOutcome {
-        algorithm: cfg.algorithm,
-        energy: chosen.final_energy,
-        intermediate_energy: chosen.intermediate_energy,
-        schedule: chosen.schedule,
-        nec,
-        opt,
-        opt_x,
-        sim,
-        discrete,
-        trace: cfg.telemetry.then_some(trace),
+impl<'a> Stages<'a> {
+    pub fn new(request: &'a ScheduleRequest, intra_pool: Option<&'a Pool>) -> Self {
+        Self {
+            tasks: &request.tasks,
+            cores: request.cores,
+            power: &request.power,
+            config: &request.config,
+            intra_pool,
+        }
+    }
+
+    /// The front: the timeline and ideal case every later stage shares,
+    /// and the configured heuristic's allocation on them.
+    pub fn front(
+        &self,
+        trace: &mut TraceCtx,
+        scratch: &mut Scratch,
+    ) -> (Timeline, IdealSolution, AvailMatrix) {
+        let timeline = trace.phase("timeline", || {
+            Timeline::build_with(self.tasks, &mut scratch.timeline)
+        });
+        let ideal = trace.phase("ideal", || ideal_schedule(self.tasks, self.power));
+        let avail = trace.phase("allocate", || {
+            self.allocate(self.config.algorithm, &timeline, &ideal, scratch)
+        });
+        (timeline, ideal, avail)
+    }
+
+    /// The tail, from the configured heuristic's allocation `avail` to the
+    /// assembled outcome carrying `trace`.
+    pub fn tail(
+        &self,
+        mut trace: TraceCtx,
+        scratch: &mut Scratch,
+        timeline: &Timeline,
+        ideal: &IdealSolution,
+        avail: &AvailMatrix,
+    ) -> ScheduleOutcome {
+        let cfg = self.config;
+        let ((intermediate_energy, energy), schedule) =
+            self.refine_and_materialize(&mut trace, scratch, timeline, ideal, avail);
+        let (opt, nec, opt_x) = match cfg.solver {
+            Some(kind) => {
+                // NEC normalizes *both* heuristics, so run the one not
+                // chosen as well.
+                let other_algorithm = match cfg.algorithm {
+                    Algorithm::Der => Algorithm::Even,
+                    Algorithm::Even => Algorithm::Der,
+                };
+                let other_avail = trace.phase("allocate", || {
+                    self.allocate(other_algorithm, timeline, ideal, scratch)
+                });
+                let (other, _) =
+                    self.refine_and_materialize(&mut trace, scratch, timeline, ideal, &other_avail);
+                let ((i1, f1), (i2, f2)) = match cfg.algorithm {
+                    Algorithm::Der => (other, (intermediate_energy, energy)),
+                    Algorithm::Even => ((intermediate_energy, energy), other),
+                };
+                let sol = trace.phase("solve", || {
+                    optimal_energy_in(
+                        self.tasks,
+                        timeline,
+                        self.cores,
+                        self.power,
+                        &cfg.solve_options,
+                        kind,
+                    )
+                });
+                let e = sol.energy;
+                let nec = NecPoint {
+                    ideal: ideal.energy / e,
+                    i1: i1 / e,
+                    f1: f1 / e,
+                    i2: i2 / e,
+                    f2: f2 / e,
+                    opt_energy: e,
+                };
+                let opt = OptSummary {
+                    solver: kind.name(),
+                    energy: sol.energy,
+                    gap: sol.gap,
+                    iters: sol.iters,
+                    converged: sol.telemetry.converged,
+                    telemetry: cfg.telemetry.then_some(sol.telemetry),
+                };
+                (Some(opt), Some(nec), Some(sol.x))
+            }
+            None => (None, None, None),
+        };
+        let sim = cfg.sim_verify.then(|| {
+            let report = trace.phase("verify", || simulate(&schedule, self.tasks, self.power));
+            SimVerdict {
+                clean: report.is_clean(),
+                deadline_misses: report.deadline_misses.len(),
+                conflicts: report.conflicts.len(),
+                energy: report.energy,
+            }
+        });
+        let discrete = cfg.discrete.as_ref().map(|table| {
+            let policy = QuantizePolicy::NextUp;
+            let out = trace.phase("discrete", || quantize_schedule(&schedule, table, policy));
+            DiscreteSummary {
+                energy: out.energy,
+                misses: out.misses.len(),
+                feasible: out.feasible,
+            }
+        });
+        ScheduleOutcome {
+            algorithm: cfg.algorithm,
+            energy,
+            intermediate_energy,
+            schedule,
+            nec,
+            opt,
+            opt_x,
+            sim,
+            discrete,
+            trace: cfg.telemetry.then_some(trace),
+        }
+    }
+
+    /// Available time for `algorithm` on the shared timeline and ideal
+    /// case; DER fans out on the intra-instance pool when configured.
+    fn allocate(
+        &self,
+        algorithm: Algorithm,
+        timeline: &Timeline,
+        ideal: &IdealSolution,
+        scratch: &mut Scratch,
+    ) -> AvailMatrix {
+        match algorithm {
+            Algorithm::Even => allocate_even(self.tasks, timeline, self.cores),
+            Algorithm::Der => {
+                let mut request = AllocRequest::new(self.tasks, timeline, self.cores, ideal)
+                    .with_scratch(scratch);
+                if let (Some(threshold), Some(pool)) =
+                    (self.config.intra_parallelism, self.intra_pool)
+                {
+                    request = request.with_pool(pool).with_parallel_threshold(threshold);
+                }
+                allocate(request)
+            }
+        }
+    }
+
+    /// Refine and materialize one allocation: `((E^I, E^F), S^F)`.
+    fn refine_and_materialize(
+        &self,
+        trace: &mut TraceCtx,
+        scratch: &mut Scratch,
+        timeline: &Timeline,
+        ideal: &IdealSolution,
+        avail: &AvailMatrix,
+    ) -> ((f64, f64), Schedule) {
+        let (assignment, final_energy) = trace.phase("refine", || {
+            refine_frequencies(self.tasks, avail, self.power)
+        });
+        let (intermediate_energy, schedule) = trace.phase("materialize", || {
+            // Only `E^I` is kept: `S^I` is freed inside the phase.
+            let (_, intermediate_energy, schedule) = materialize_schedules(
+                self.tasks,
+                timeline,
+                self.cores,
+                self.power,
+                ideal,
+                avail,
+                &assignment,
+                scratch,
+            );
+            (intermediate_energy, schedule)
+        });
+        ((intermediate_energy, final_energy), schedule)
     }
 }

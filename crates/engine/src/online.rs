@@ -9,8 +9,8 @@
 //! window overlaps and nothing else.
 //!
 //! [`OnlineEngine`] maintains the DER pipeline's intermediate state
-//! (timeline, ideal solution, availability matrix, per-task totals and
-//! final frequencies) across events and patches it locally:
+//! (timeline, ideal solution, availability matrix, final frequencies)
+//! across events and patches it locally:
 //!
 //! * the timeline is updated in place via
 //!   [`Timeline::rebuild_inserted`] / [`Timeline::rebuild_shifted`],
@@ -35,18 +35,18 @@
 //! Every maintained structure is *bit-identical* to what the offline
 //! pipeline computes for the same final task set — the patch paths either
 //! reproduce the from-scratch result exactly or fall back to it — so
-//! [`OnlineEngine::outcome`] yields a [`ScheduleOutcome`] that compares
-//! (and JSON-encodes) byte-for-byte equal to [`Engine::run`] on the
-//! equivalent request, at any worker count.
+//! [`OnlineEngine::outcome`] — which runs the offline pipeline's own
+//! tail on the maintained state — yields a [`ScheduleOutcome`] that
+//! compares (and JSON-encodes) byte-for-byte equal to [`Engine::run`] on
+//! the equivalent request, at any worker count.
 
 use crate::audit::{AuditConfig, ShadowAuditor};
 use crate::config::{Algorithm, EngineConfig, ScheduleRequest};
-use crate::outcome::{DiscreteSummary, OptSummary, ScheduleOutcome, SimVerdict};
+use crate::exec::Stages;
+use crate::outcome::ScheduleOutcome;
 use esched_core::{
-    allocate, allocate_even, build_outcome_with, final_assignment, final_schedule_with,
-    ideal_schedule, optimal_energy_in, quantize_schedule, reallocate_der_patched, AllocRequest,
-    AvailMatrix, DerRepairStats, IdealSolution, NecPoint, Pool, QuantizePolicy, Scratch,
-    DEFAULT_PARALLEL_THRESHOLD,
+    final_schedule_with, ideal_schedule, reallocate_der_patched, refine_frequencies, AvailMatrix,
+    DerRepairStats, IdealSolution, Pool, Scratch, DEFAULT_PARALLEL_THRESHOLD,
 };
 use esched_obs::health::{HealthMonitor, SloPolicy};
 use esched_obs::{RequestId, RequestScope, TraceCtx};
@@ -54,7 +54,7 @@ use esched_opt::{kkt_report, EnergyProgram, KktReport};
 use esched_sim::simulate;
 use esched_subinterval::Timeline;
 use esched_types::{
-    validate_schedule, FrequencyAssignment, PolynomialPower, Task, TaskId, TaskSet,
+    validate_schedule, FrequencyAssignment, PolynomialPower, Task, TaskError, TaskId, TaskSet,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -162,20 +162,17 @@ pub struct ReplanReport {
 /// ```
 #[derive(Debug)]
 pub struct OnlineEngine {
-    tasks: Vec<Task>,
-    cores: usize,
-    power: PolynomialPower,
-    config: EngineConfig,
     fallback_fraction: f64,
     verify: bool,
     recertify: bool,
+    // The offline request equivalent to the live plan: the task set,
+    // cores, power model and pipeline configuration.
+    request: ScheduleRequest,
     // Maintained pipeline state, always bit-identical to a from-scratch
     // run on the current task set.
-    task_set: TaskSet,
     timeline: Timeline,
     ideal: IdealSolution,
     avail: AvailMatrix,
-    total_avail: Vec<f64>,
     assignment: FrequencyAssignment,
     final_energy: f64,
     scratch: Scratch,
@@ -203,29 +200,20 @@ impl OnlineEngine {
     /// If `cores == 0`.
     pub fn new(tasks: TaskSet, cores: usize, power: PolynomialPower) -> Self {
         assert!(cores >= 1, "OnlineEngine requires at least one core");
-        let timeline = Timeline::build(&tasks);
-        let ideal = ideal_schedule(&tasks, &power);
+        let request = ScheduleRequest::new(tasks, cores, power);
         let mut scratch = Scratch::new();
-        let avail = allocate(
-            AllocRequest::new(&tasks, &timeline, cores, &ideal).with_scratch(&mut scratch),
-        );
-        let total_avail = avail.totals();
-        let assignment = final_assignment(&tasks, &total_avail, &power);
-        let works: Vec<f64> = tasks.tasks().iter().map(|t| t.wcec).collect();
-        let final_energy = assignment.energy(&works, &power);
+        // The boot's phase timings are not reported anywhere.
+        let (timeline, ideal, avail) =
+            Stages::new(&request, None).front(&mut TraceCtx::new(RequestId::next()), &mut scratch);
+        let (assignment, final_energy) = refine_frequencies(&request.tasks, &avail, &power);
         Self {
-            tasks: tasks.tasks().to_vec(),
-            cores,
-            power,
-            config: EngineConfig::default(),
             fallback_fraction: DEFAULT_FALLBACK_FRACTION,
             verify: false,
             recertify: false,
-            task_set: tasks,
+            request,
             timeline,
             ideal,
             avail,
-            total_avail,
             assignment,
             final_energy,
             scratch,
@@ -250,7 +238,7 @@ impl OnlineEngine {
             "OnlineEngine is incremental over the DER pipeline only"
         );
         self.intra_pool = config.intra_parallelism.map(|_| Pool::new());
-        self.config = config;
+        self.request.config = config;
         self
     }
 
@@ -320,7 +308,7 @@ impl OnlineEngine {
     /// regret, or `None` when no auditor is configured.
     pub fn force_audit(&self) -> Option<f64> {
         let auditor = self.auditor.as_ref()?;
-        auditor.force(&self.task_set, self.cores, self.power, self.final_energy);
+        auditor.force(&self.request, self.final_energy);
         self.health.as_ref().and_then(|h| h.regret())
     }
 
@@ -335,18 +323,18 @@ impl OnlineEngine {
 
     /// The live task set.
     pub fn tasks(&self) -> &TaskSet {
-        &self.task_set
+        &self.request.tasks
     }
 
     /// Number of live tasks.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.request.tasks.len()
     }
 
     /// Always false: the engine is seeded with a non-empty set and events
     /// never remove tasks.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.request.tasks.is_empty()
     }
 
     /// Final analytic energy (`E^{F2}`) of the current plan.
@@ -364,51 +352,38 @@ impl OnlineEngine {
     pub fn apply(&mut self, event: &OnlineEvent) -> Result<ReplanReport, OnlineError> {
         let _flight = esched_obs::flight_span!("online_apply");
         let t_start = Instant::now();
-        let (dirty_task, patched) = match event {
+        // On error, `TaskSet::push`/`replace` leave the set untouched.
+        let invalid = |e: TaskError| OnlineError::InvalidTask {
+            message: e.to_string(),
+        };
+        let (dirty_task, patched) = match *event {
             OnlineEvent::Arrive(task) => {
-                Task::new(task.release, task.deadline, task.wcec).map_err(|e| {
-                    OnlineError::InvalidTask {
-                        message: e.to_string(),
-                    }
-                })?;
-                self.tasks.push(*task);
-                let id = self.tasks.len() - 1;
-                self.rebuild_task_set();
+                let id = self.request.tasks.push(task).map_err(invalid)?;
                 // An arrival changes no existing task's ideal solution;
                 // every column it overlaps gains a member and is caught by
                 // the repair's structural id comparison.
-                (None, self.timeline.rebuild_inserted(&self.task_set, id))
+                let patched = self.timeline.rebuild_inserted(&self.request.tasks, id);
+                (None, patched)
             }
             OnlineEvent::Complete { task, actual_work } => {
-                let t = *self.checked(*task)?;
-                Task::new(t.release, t.deadline, *actual_work).map_err(|e| {
-                    OnlineError::InvalidTask {
-                        message: e.to_string(),
-                    }
-                })?;
-                self.tasks[*task].wcec = *actual_work;
-                self.rebuild_task_set();
+                let mut t = *self.checked(task)?;
+                t.wcec = actual_work;
+                self.request.tasks.replace(task, t).map_err(invalid)?;
                 // Event points are untouched — the timeline is exactly the
                 // one a full build would produce. Only columns where the
                 // completed task contends (heavy columns) can change.
-                (Some(*task), true)
+                (Some(task), true)
             }
             OnlineEvent::Shift {
                 task,
                 release,
                 deadline,
             } => {
-                let t = *self.checked(*task)?;
-                Task::new(*release, *deadline, t.wcec).map_err(|e| OnlineError::InvalidTask {
-                    message: e.to_string(),
-                })?;
-                self.tasks[*task].release = *release;
-                self.tasks[*task].deadline = *deadline;
-                self.rebuild_task_set();
-                (
-                    Some(*task),
-                    self.timeline.rebuild_shifted(&self.task_set, *task),
-                )
+                let mut t = *self.checked(task)?;
+                (t.release, t.deadline) = (release, deadline);
+                self.request.tasks.replace(task, t).map_err(invalid)?;
+                let patched = self.timeline.rebuild_shifted(&self.request.tasks, task);
+                (Some(task), patched)
             }
         };
         let timeline_rebuilt = !patched;
@@ -416,34 +391,33 @@ impl OnlineEngine {
         // The ideal case is embarrassingly per-task; a full recompute is
         // O(n) closed forms plus one compensated sum — microseconds even at
         // n = 1024 — and is trivially bit-identical to the offline stage.
-        self.ideal = ideal_schedule(&self.task_set, &self.power);
+        self.ideal = ideal_schedule(&self.request.tasks, &self.request.power);
 
         let dirty: &[TaskId] = match dirty_task {
             Some(id) => &[id],
             None => &[],
         };
         let (avail, der) = reallocate_der_patched(
-            &self.task_set,
+            &self.request.tasks,
             &self.timeline,
-            self.cores,
+            self.request.cores,
             &self.ideal,
             &self.avail,
             dirty,
             self.fallback_fraction,
             self.intra_pool.as_ref(),
-            self.config
+            self.request
+                .config
                 .intra_parallelism
                 .unwrap_or(DEFAULT_PARALLEL_THRESHOLD),
             &mut self.scratch,
         );
         self.avail = avail;
-        // Totals and the final assignment are O(nnz) and O(n); recomputing
-        // them in full keeps the Neumaier summation order — and therefore
-        // the bits — identical to the offline pipeline.
-        self.total_avail = self.avail.totals();
-        self.assignment = final_assignment(&self.task_set, &self.total_avail, &self.power);
-        let works: Vec<f64> = self.tasks.iter().map(|t| t.wcec).collect();
-        self.final_energy = self.assignment.energy(&works, &self.power);
+        // The refine step is O(nnz) and O(n); rerunning it in full keeps
+        // the totals' summation order — and therefore the bits — identical
+        // to the offline pipeline.
+        (self.assignment, self.final_energy) =
+            refine_frequencies(&self.request.tasks, &self.avail, &self.request.power);
 
         let recertified = self.recertify.then(|| self.recertify_now());
         let elapsed_ns = t_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -464,7 +438,7 @@ impl OnlineEngine {
         }
         if let Some(a) = &self.auditor {
             if a.due(self.events_seen) {
-                a.offer_snapshot(&self.task_set, self.cores, self.power, self.final_energy);
+                a.offer_snapshot(&self.request, self.final_energy);
             }
         }
 
@@ -482,30 +456,29 @@ impl OnlineEngine {
     }
 
     fn checked(&self, task: TaskId) -> Result<&Task, OnlineError> {
-        self.tasks.get(task).ok_or(OnlineError::UnknownTask {
-            task,
-            len: self.tasks.len(),
-        })
-    }
-
-    fn rebuild_task_set(&mut self) {
-        // Tasks were validated before mutation, so this cannot fail.
-        self.task_set = TaskSet::new(self.tasks.clone()).expect("validated above");
+        let live = self.request.tasks.tasks();
+        let len = live.len();
+        live.get(task).ok_or(OnlineError::UnknownTask { task, len })
     }
 
     /// Solve the convex program warm-started from the previous optimum's
     /// per-task totals and certify the result.
     fn recertify_now(&mut self) -> RecertSummary {
-        let ep = EnergyProgram::new(&self.task_set, &self.timeline, self.cores, self.power);
+        let ScheduleRequest {
+            tasks,
+            cores,
+            power,
+            config,
+        } = &self.request;
+        let ep = EnergyProgram::new(tasks, &self.timeline, *cores, *power);
         let opts = match &self.last_opt_totals {
-            Some(totals) => self
-                .config
+            Some(totals) => config
                 .solve_options
                 .clone()
                 .with_warm_start(ep.warm_start_from_totals(totals)),
-            None => self.config.solve_options.clone(),
+            None => config.solve_options.clone(),
         };
-        let sol = self.config.solver.unwrap_or_default().solve(&ep, &opts);
+        let sol = config.solver.unwrap_or_default().solve(&ep, &opts);
         self.last_opt_totals = Some(ep.total_times(&sol.x));
         RecertSummary {
             kkt: kkt_report(&ep, &sol.x),
@@ -520,20 +493,20 @@ impl OnlineEngine {
     /// agree — clean run, energy matching the analytic `E^{F2}`.
     pub fn verify_current(&mut self) -> Result<(), String> {
         let schedule = final_schedule_with(
-            &self.task_set,
+            &self.request.tasks,
             &self.timeline,
-            self.cores,
+            self.request.cores,
             &self.avail,
             &self.assignment,
             &mut self.scratch.items,
             &mut self.scratch.scale,
         );
-        let report = validate_schedule(&schedule, &self.task_set);
+        let report = validate_schedule(&schedule, &self.request.tasks);
         if !report.is_legal() {
             let msgs: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
             return Err(format!("validator: {}", msgs.join("; ")));
         }
-        let sim = simulate(&schedule, &self.task_set, &self.power);
+        let sim = simulate(&schedule, &self.request.tasks, &self.request.power);
         if !sim.deadline_misses.is_empty() || !sim.conflicts.is_empty() {
             return Err(format!(
                 "simulator: {} deadline misses, {} conflicts",
@@ -555,121 +528,27 @@ impl OnlineEngine {
     /// feeding it to [`Engine::run`](crate::Engine::run) produces an
     /// outcome byte-identical to [`OnlineEngine::outcome`].
     pub fn as_request(&self) -> ScheduleRequest {
-        ScheduleRequest {
-            tasks: self.task_set.clone(),
-            cores: self.cores,
-            power: self.power,
-            config: self.config.clone(),
-        }
+        self.request.clone()
     }
 
     /// Materialize the full [`ScheduleOutcome`] for the current plan.
     ///
-    /// This runs the same stages as the offline pipeline —
-    /// refinement/packing from the maintained availability matrix, the
-    /// optional solver, simulator, and discrete stages — substituting the
-    /// incrementally maintained timeline, ideal solution, and DER
-    /// allocation for their from-scratch counterparts. Because every
-    /// maintained structure is bit-identical to the offline stage's
-    /// output, so is the outcome.
+    /// This runs the offline pipeline's own tail — refinement and
+    /// materialization, then the optional solver, simulator, and discrete
+    /// stages — on the incrementally maintained timeline, ideal solution,
+    /// and DER allocation in place of their from-scratch counterparts.
+    /// Because every maintained structure is bit-identical to the offline
+    /// front's output, so is the outcome.
     pub fn outcome(&mut self) -> ScheduleOutcome {
         let request_id = RequestId::next();
         let _req_scope = RequestScope::enter(request_id);
         let _flight = esched_obs::flight_span!("online_outcome");
-        let mut trace = TraceCtx::new(request_id);
-        let cfg = self.config.clone();
-
-        let t_phase = Instant::now();
-        let chosen = build_outcome_with(
-            &self.task_set,
-            &self.timeline,
-            self.cores,
-            &self.power,
-            &self.ideal,
-            self.avail.clone(),
+        Stages::new(&self.request, self.intra_pool.as_ref()).tail(
+            TraceCtx::new(request_id),
             &mut self.scratch,
-        );
-        trace.record_phase("der_alloc", t_phase.elapsed());
-
-        let t_phase = Instant::now();
-        let (opt, nec, opt_x) = match cfg.solver {
-            Some(kind) => {
-                // NEC normalizes both heuristics: run the evenly-allocating
-                // one from scratch (it has no incremental state to reuse).
-                let even_avail = allocate_even(&self.task_set, &self.timeline, self.cores);
-                let even = build_outcome_with(
-                    &self.task_set,
-                    &self.timeline,
-                    self.cores,
-                    &self.power,
-                    &self.ideal,
-                    even_avail,
-                    &mut self.scratch,
-                );
-                let sol = optimal_energy_in(
-                    &self.task_set,
-                    &self.timeline,
-                    self.cores,
-                    &self.power,
-                    &cfg.solve_options,
-                    kind,
-                );
-                let e = sol.energy;
-                let nec = NecPoint {
-                    ideal: self.ideal.energy / e,
-                    i1: even.intermediate_energy / e,
-                    f1: even.final_energy / e,
-                    i2: chosen.intermediate_energy / e,
-                    f2: chosen.final_energy / e,
-                    opt_energy: e,
-                };
-                let opt = OptSummary {
-                    solver: kind.name(),
-                    energy: sol.energy,
-                    gap: sol.gap,
-                    iters: sol.iters,
-                    converged: sol.telemetry.converged,
-                    telemetry: cfg.telemetry.then_some(sol.telemetry),
-                };
-                (Some(opt), Some(nec), Some(sol.x))
-            }
-            None => (None, None, None),
-        };
-        trace.record_phase("solve", t_phase.elapsed());
-
-        let t_phase = Instant::now();
-        let sim = cfg.sim_verify.then(|| {
-            let report = simulate(&chosen.schedule, &self.task_set, &self.power);
-            SimVerdict {
-                clean: report.is_clean(),
-                deadline_misses: report.deadline_misses.len(),
-                conflicts: report.conflicts.len(),
-                energy: report.energy,
-            }
-        });
-        trace.record_phase("sim_verify", t_phase.elapsed());
-        let t_phase = Instant::now();
-        let discrete = cfg.discrete.as_ref().map(|table| {
-            let out = quantize_schedule(&chosen.schedule, table, QuantizePolicy::NextUp);
-            DiscreteSummary {
-                energy: out.energy,
-                misses: out.misses.len(),
-                feasible: out.feasible,
-            }
-        });
-        trace.record_phase("discrete", t_phase.elapsed());
-
-        ScheduleOutcome {
-            algorithm: cfg.algorithm,
-            energy: chosen.final_energy,
-            intermediate_energy: chosen.intermediate_energy,
-            schedule: chosen.schedule,
-            nec,
-            opt,
-            opt_x,
-            sim,
-            discrete,
-            trace: cfg.telemetry.then_some(trace),
-        }
+            &self.timeline,
+            &self.ideal,
+            &self.avail,
+        )
     }
 }

@@ -83,9 +83,10 @@ pub struct ScheduleOutcome {
     /// frequency table.
     pub discrete: Option<DiscreteSummary>,
     /// Request-scoped trace context: the request id the engine assigned to
-    /// this job plus the per-phase latency breakdown (timeline build, DER
-    /// allocation, solve, sim-verify, discrete). Present iff the request
-    /// enabled telemetry. Like wall-clock telemetry, excluded from
+    /// this job plus the per-phase latency breakdown (`timeline`, `ideal`,
+    /// `allocate`, `refine`, `materialize`, `solve`, `verify`,
+    /// `discrete`; stages the request skips are absent). Present iff the
+    /// request enabled telemetry. Like wall-clock telemetry, excluded from
     /// `to_json()` and from equality so outcomes stay comparable across
     /// worker counts.
     pub trace: Option<esched_obs::TraceCtx>,

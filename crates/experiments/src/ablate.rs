@@ -17,9 +17,10 @@
 use crate::harness::per_trial;
 use crate::report::write_artifact;
 use esched_core::{
-    allocate, allocate_work_proportional, build_outcome, der_schedule, even_schedule,
-    ideal_schedule, no_reclaim_energy, optimal_energy, partitioned_yds, quantize_schedule,
-    reclaim_der, replan_der, uniform_frequency, AllocRequest, DerStrategy, QuantizePolicy,
+    allocate, allocate_work_proportional, der_schedule, even_schedule, ideal_schedule,
+    no_reclaim_energy, optimal_energy, partitioned_yds, quantize_schedule, reclaim_der,
+    refine_frequencies, replan_der, uniform_frequency, AllocRequest, AvailMatrix, DerStrategy,
+    QuantizePolicy,
 };
 use esched_opt::SolveOptions;
 use esched_subinterval::Timeline;
@@ -53,36 +54,14 @@ pub fn allocation_ablation(trials: usize, base_seed: u64) -> AllocationAblation 
             let tl = Timeline::build(&tasks);
             let ideal = ideal_schedule(&tasks, &power);
             let opt = optimal_energy(&tasks, cores, &power, &SolveOptions::fast()).energy;
-            let f2 = build_outcome(
-                &tasks,
-                &tl,
-                cores,
-                &power,
-                &ideal,
-                allocate(AllocRequest::new(&tasks, &tl, cores, &ideal)),
-            )
-            .final_energy;
-            let nr = build_outcome(
-                &tasks,
-                &tl,
-                cores,
-                &power,
-                &ideal,
-                allocate(
-                    AllocRequest::new(&tasks, &tl, cores, &ideal)
-                        .strategy(DerStrategy::NoRedistribution),
-                ),
-            )
-            .final_energy;
-            let wp = build_outcome(
-                &tasks,
-                &tl,
-                cores,
-                &power,
-                &ideal,
-                allocate_work_proportional(&tasks, &tl, cores),
-            )
-            .final_energy;
+            // Only `E^F` is reported, so no schedule is materialized.
+            let final_energy = |avail: AvailMatrix| refine_frequencies(&tasks, &avail, &power).1;
+            let der = |strategy| {
+                allocate(AllocRequest::new(&tasks, &tl, cores, &ideal).strategy(strategy))
+            };
+            let f2 = final_energy(der(DerStrategy::Waterfill));
+            let nr = final_energy(der(DerStrategy::NoRedistribution));
+            let wp = final_energy(allocate_work_proportional(&tasks, &tl, cores));
             let f1 = even_schedule(&tasks, cores, &power).final_energy;
             [f2 / opt, nr / opt, wp / opt, f1 / opt]
         },

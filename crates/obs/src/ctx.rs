@@ -138,6 +138,15 @@ impl TraceCtx {
             .push((phase, elapsed.as_nanos().min(u64::MAX as u128) as u64));
     }
 
+    /// Run `f`, recording its wall time as one `phase` measurement, and
+    /// return its result.
+    pub fn phase<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
+        let start = std::time::Instant::now();
+        let out = f();
+        self.record_phase(phase, start.elapsed());
+        out
+    }
+
     /// Nanoseconds spent in `phase`, summed over repeats.
     pub fn phase_ns(&self, phase: &str) -> u64 {
         self.phases
@@ -205,5 +214,7 @@ mod tests {
         assert_eq!(t.phase_ns("absent"), 0);
         assert_eq!(t.total_ns(), 550);
         assert_eq!(t.phases.len(), 3);
+        assert_eq!(t.phase("ideal", || 7), 7);
+        assert_eq!(t.phases.last().map(|(p, _)| *p), Some("ideal"));
     }
 }

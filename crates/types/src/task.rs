@@ -158,6 +158,28 @@ impl TaskSet {
         Ok(Self { tasks })
     }
 
+    /// Append `task` and return its id.
+    ///
+    /// # Errors
+    /// The [`TaskError`] [`TaskSet::new`] would report for `task` at its
+    /// new index; the set is then unchanged.
+    pub fn push(&mut self, task: Task) -> Result<TaskId, TaskError> {
+        task.validate(self.tasks.len())?;
+        self.tasks.push(task);
+        Ok(self.tasks.len() - 1)
+    }
+
+    /// Replace task `id` with `task`. Panics if `id` is out of range.
+    ///
+    /// # Errors
+    /// The [`TaskError`] [`TaskSet::new`] would report for `task` at `id`;
+    /// the set is then unchanged.
+    pub fn replace(&mut self, id: TaskId, task: Task) -> Result<(), TaskError> {
+        task.validate(id)?;
+        self.tasks[id] = task;
+        Ok(())
+    }
+
     /// Build from `(release, deadline, wcec)` triples, panicking on invalid
     /// input. Convenient in tests and examples.
     ///
@@ -318,6 +340,28 @@ mod tests {
             Task::new(f64::NAN, 1.0, 1.0),
             Err(TaskError::NonFinite { index: 0 })
         );
+    }
+
+    #[test]
+    fn push_and_replace_validate_like_new() {
+        let mut ts = paper_intro_tasks();
+        let mut bad = Task::of(3.0, 5.0, 2.0);
+        bad.wcec = 0.0;
+        assert_eq!(ts.push(bad), Err(TaskError::NonPositiveWork { index: 3 }));
+        assert_eq!(
+            ts.replace(1, bad),
+            Err(TaskError::NonPositiveWork { index: 1 })
+        );
+        assert_eq!(ts, paper_intro_tasks(), "a rejected edit left a trace");
+        assert_eq!(ts.push(Task::of(1.0, 5.0, 1.0)), Ok(3));
+        ts.replace(0, Task::of(0.0, 6.0, 3.0)).unwrap();
+        let edited = [
+            (0.0, 6.0, 3.0),
+            (2.0, 10.0, 2.0),
+            (4.0, 8.0, 4.0),
+            (1.0, 5.0, 1.0),
+        ];
+        assert_eq!(ts, TaskSet::from_triples(&edited));
     }
 
     #[test]
