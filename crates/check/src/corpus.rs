@@ -1,15 +1,19 @@
 //! The on-disk regression corpus: shrunk minimal repros as JSON.
 //!
-//! Each corpus file is a plain [`Instance`] object plus two metadata keys
-//! (`oracle`, the failing class name; `message`, the violation detail at
-//! the time it was found). `Instance::from_json` ignores the extras, so a
-//! corpus file deserializes straight back into a replayable instance.
+//! Both case kinds share one format: the case's own JSON object (an
+//! [`Instance`](crate::Instance), or an
+//! [`OnlineScript`](crate::OnlineScript), which adds `events` to the
+//! instance keys) with two metadata keys in front — `oracle`, the failing
+//! class name, and `message`, the violation detail at the time it was
+//! found. The case parsers ignore the extras, so a corpus file
+//! deserializes straight back into a replayable case. Plain
+//! instances live in `corpus/`, online scripts in `corpus/online/`.
 //!
-//! Filenames are `<class>-<fnv64 of the instance JSON>.json`: content
-//! addressing dedups repeated discoveries of the same shrunk instance
-//! across fuzz runs, and the class prefix keeps the directory readable.
+//! Filenames are `<class>-<fnv64 of the case JSON>.json`: content
+//! addressing dedups repeated discoveries of the same shrunk case across
+//! fuzz runs, and the class prefix keeps the directory readable.
 
-use crate::instance::Instance;
+use crate::case::FuzzCase;
 use crate::oracles::OracleViolation;
 use esched_obs::json::{ToJson, Value};
 use std::fs;
@@ -17,7 +21,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// 64-bit FNV-1a — a dependency-free stable content hash for filenames.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -26,11 +30,11 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serialize a corpus entry: the instance plus oracle metadata.
-pub fn corpus_entry(inst: &Instance, violation: &OracleViolation) -> String {
-    let mut obj = match inst.to_json() {
+/// Serialize a corpus entry: the case plus oracle metadata.
+pub fn corpus_entry<C: ToJson>(case: &C, violation: &OracleViolation) -> String {
+    let mut obj = match case.to_json() {
         Value::Obj(pairs) => pairs,
-        _ => unreachable!("Instance serializes to an object"),
+        _ => unreachable!("fuzz cases serialize to objects"),
     };
     obj.insert(
         0,
@@ -42,34 +46,35 @@ pub fn corpus_entry(inst: &Instance, violation: &OracleViolation) -> String {
 
 /// Write a shrunk repro into `dir`, creating the directory if needed.
 /// Returns `Ok(Some(path))` for a new entry, `Ok(None)` when an identical
-/// instance (same content hash for the same class) is already present.
+/// case (same content hash for the same class) is already present.
 ///
 /// # Errors
 /// Propagates filesystem errors from creating the directory or file.
-pub fn write_corpus(
+pub fn write_corpus<C: ToJson>(
     dir: &Path,
-    inst: &Instance,
+    case: &C,
     violation: &OracleViolation,
 ) -> io::Result<Option<PathBuf>> {
     fs::create_dir_all(dir)?;
-    // Hash only the instance (not the message) so the same shrunk
-    // instance found via differently-worded violations dedups.
-    let hash = fnv1a(inst.to_json().to_string_pretty().as_bytes());
+    // Hash only the case (not the message) so the same shrunk case found
+    // via differently-worded violations dedups.
+    let hash = fnv1a(case.to_json().to_string_pretty().as_bytes());
     let path = dir.join(format!("{}-{hash:016x}.json", violation.class.name()));
     if path.exists() {
         return Ok(None);
     }
-    fs::write(&path, corpus_entry(inst, violation))?;
+    fs::write(&path, corpus_entry(case, violation))?;
     Ok(Some(path))
 }
 
-/// Load every `*.json` corpus entry under `dir`, sorted by filename for
-/// deterministic replay order. A missing directory is an empty corpus.
+/// Load every `*.json` corpus entry directly under `dir`, sorted by
+/// filename for deterministic replay order. A missing directory is an
+/// empty corpus.
 ///
 /// # Errors
 /// Propagates filesystem errors; malformed entries surface as
 /// [`io::ErrorKind::InvalidData`] naming the offending file.
-pub fn load_corpus_dir(dir: &Path) -> io::Result<Vec<(PathBuf, Instance)>> {
+pub fn load_corpus_dir<C: FuzzCase>(dir: &Path) -> io::Result<Vec<(PathBuf, C)>> {
     if !dir.exists() {
         return Ok(Vec::new());
     }
@@ -82,13 +87,13 @@ pub fn load_corpus_dir(dir: &Path) -> io::Result<Vec<(PathBuf, Instance)>> {
     let mut out = Vec::with_capacity(paths.len());
     for path in paths {
         let text = fs::read_to_string(&path)?;
-        let inst = Instance::from_json_str(&text).map_err(|e| {
+        let case = C::from_json_str(&text).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("corpus entry {} is malformed: {e}", path.display()),
             )
         })?;
-        out.push((path, inst));
+        out.push((path, case));
     }
     Ok(out)
 }
@@ -96,8 +101,12 @@ pub fn load_corpus_dir(dir: &Path) -> io::Result<Vec<(PathBuf, Instance)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::Instance;
+    use crate::online::OnlineScript;
     use crate::oracles::OracleClass;
+    use esched_engine::OnlineEvent;
     use esched_types::{PolynomialPower, TaskSet};
+    use std::fmt::Debug;
 
     fn sample() -> Instance {
         Instance::new(
@@ -107,47 +116,61 @@ mod tests {
         )
     }
 
-    fn violation() -> OracleViolation {
+    fn violation(class: OracleClass) -> OracleViolation {
         OracleViolation {
-            class: OracleClass::Packing,
+            class,
             message: "test repro".into(),
         }
     }
 
-    #[test]
-    fn write_then_load_round_trips_and_dedups() {
-        let dir = std::env::temp_dir().join(format!(
-            "esched-check-corpus-{}-{}",
-            std::process::id(),
-            line!()
-        ));
+    /// Write `case` twice (the second write must dedup), load the
+    /// directory back and demand the same case under a `<class>-` name.
+    fn assert_round_trips_and_dedups<C: FuzzCase + PartialEq + Debug>(
+        case: &C,
+        class: OracleClass,
+        tag: u32,
+    ) {
+        let dir =
+            std::env::temp_dir().join(format!("esched-check-corpus-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let inst = sample();
-        let first = write_corpus(&dir, &inst, &violation()).unwrap();
+        let first = write_corpus(&dir, case, &violation(class)).unwrap();
         assert!(first.is_some());
-        let again = write_corpus(&dir, &inst, &violation()).unwrap();
+        let again = write_corpus(&dir, case, &violation(class)).unwrap();
         assert!(again.is_none(), "identical repro must dedup");
-        let loaded = load_corpus_dir(&dir).unwrap();
+        let loaded: Vec<(PathBuf, C)> = load_corpus_dir(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].1, inst);
+        assert_eq!(&loaded[0].1, case);
         assert!(loaded[0]
             .0
             .file_name()
             .unwrap()
             .to_string_lossy()
-            .starts_with("packing-"));
+            .starts_with(&format!("{}-", class.name())));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_then_load_round_trips_and_dedups() {
+        assert_round_trips_and_dedups(&sample(), OracleClass::Packing, 0);
+        let script = OnlineScript {
+            instance: sample(),
+            events: vec![OnlineEvent::Complete {
+                task: 0,
+                actual_work: 1.5,
+            }],
+        };
+        assert_round_trips_and_dedups(&script, OracleClass::Online, 1);
     }
 
     #[test]
     fn missing_dir_is_empty_corpus() {
         let dir = Path::new("/nonexistent/esched-check-nowhere");
-        assert!(load_corpus_dir(dir).unwrap().is_empty());
+        assert!(load_corpus_dir::<Instance>(dir).unwrap().is_empty());
     }
 
     #[test]
     fn entry_carries_oracle_metadata() {
-        let text = corpus_entry(&sample(), &violation());
+        let text = corpus_entry(&sample(), &violation(OracleClass::Packing));
         assert!(text.contains("\"oracle\": \"packing\""));
         assert!(text.contains("\"message\": \"test repro\""));
         // And still parses back as a plain instance.

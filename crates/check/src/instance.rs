@@ -2,7 +2,7 @@
 //! everything the oracle battery needs, JSON-round-trippable so failing
 //! cases can be committed to the corpus and replayed.
 
-use esched_obs::json::{parse, type_error, FromJson, JsonError, ToJson, Value};
+use esched_obs::json::{type_error, FromJson, JsonError, ToJson, Value};
 use esched_types::{PolynomialPower, TaskSet};
 
 /// A self-contained scheduling problem instance.
@@ -25,26 +25,6 @@ impl Instance {
             cores,
             power,
         }
-    }
-
-    /// Compact human-readable summary (`n=3 m=2 alpha=3 p0=0.2`).
-    pub fn summary(&self) -> String {
-        format!(
-            "n={} m={} alpha={} p0={}",
-            self.tasks.len(),
-            self.cores,
-            self.power.alpha,
-            self.power.p0
-        )
-    }
-
-    /// Parse an instance from its JSON text.
-    ///
-    /// # Errors
-    /// [`JsonError`] on malformed text or an invalid task set / power
-    /// model / core count.
-    pub fn from_json_str(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&parse(text)?)
     }
 }
 
@@ -86,6 +66,7 @@ impl FromJson for Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FuzzCase;
 
     #[test]
     fn json_round_trip() {

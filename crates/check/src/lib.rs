@@ -30,21 +30,24 @@
 //!   through the incremental `OnlineEngine`, every repaired plan
 //!   re-verified against the validator⟺simulator battery, and the final
 //!   online outcome required to be byte-identical to a from-scratch
-//!   offline run; shrunk scripts commit under `corpus/online/`.
+//!   offline run; shrunk scripts commit under `corpus/online/`;
 //! * [`scale`] — a **large-n allocator battery** (`--scale N` mode):
 //!   grid-snapped `WorkloadSpec::large_n` instances up to `N` tasks run
 //!   through the vectorized, pool-parallel allocator and compared
 //!   cell-by-cell against the round-based reference strategy, plus
 //!   reference-free capacity invariants.
 //!
-//! The binary (`cargo run -p esched-check -- --iters 1000 --seed 42`)
-//! drives the loop, writes shrunk repros to [`corpus`] as JSON, and exits
-//! non-zero on any violation; `tests/corpus_replay.rs` replays the
-//! committed corpus as a permanent regression suite.
+//! The binary (`cargo run -p esched-check -- --iters 1000 --seed 42`, or
+//! `--online` for scripts) runs one generic fuzz loop over either case
+//! kind, writes shrunk repros to [`corpus`] as JSON (one entry format and
+//! `<class>-<fnv64>.json` naming for both kinds), and exits non-zero on
+//! any violation; `tests/corpus_replay.rs` replays the committed corpus
+//! of both kinds as a permanent regression suite through one helper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod case;
 pub mod corpus;
 pub mod gen;
 pub mod instance;
@@ -53,13 +56,9 @@ pub mod oracles;
 pub mod scale;
 pub mod shrink;
 
+pub use case::{FuzzCase, Shrunk};
 pub use corpus::{load_corpus_dir, write_corpus};
-pub use gen::gen_instance;
 pub use instance::Instance;
-pub use online::{
-    check_online, gen_online, load_online_corpus_dir, shrink_online, write_online_corpus,
-    OnlineScript,
-};
-pub use oracles::{check_instance, OracleClass, OracleViolation};
+pub use online::OnlineScript;
+pub use oracles::{OracleClass, OracleViolation};
 pub use scale::{run_scale, ScaleReport};
-pub use shrink::shrink;

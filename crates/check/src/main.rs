@@ -5,25 +5,24 @@
 //! ```
 //!
 //! Each iteration seeds a fresh [`ChaCha8`] with `seed + i`, draws one
-//! adversarial instance, and runs the full oracle battery. On a violation
-//! the instance is auto-shrunk per failing oracle class and the minimal
-//! repro is written (content-addressed, deduped) to the corpus directory.
-//! Exit status: 0 when every iteration passed, 1 on any violation, 2 on
-//! bad usage.
+//! adversarial case — a plain [`Instance`], or an [`OnlineScript`] under
+//! `--online` — and runs its oracle battery. Both kinds go through the
+//! same loop ([`run_fuzz`]): on a violation the case is auto-shrunk per
+//! failing oracle class and the minimal repro is written
+//! (content-addressed, deduped) to the corpus directory, online scripts
+//! under its `online/` subdirectory. Exit status: 0 when every iteration
+//! passed, 1 on any violation, 2 on bad usage.
 //!
 //! Telemetry: the run is wrapped in a `check_fuzz` INFO span and every
 //! violation emits an `oracle_violation` WARN event, so `ESCHED_LOG=info`
 //! narrates the run through the standard `esched-obs` subscriber.
 
 use esched_check::oracles::violation_classes;
-use esched_check::{
-    check_instance, check_online, gen_instance, gen_online, shrink, shrink_online, write_corpus,
-    write_online_corpus, Instance, OracleViolation,
-};
+use esched_check::{write_corpus, FuzzCase, Instance, OnlineScript, OracleClass, OracleViolation};
 use esched_engine::Engine;
 use esched_obs::rng::ChaCha8;
 use esched_obs::{event, span, Level};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Iterations submitted to the engine per batch: large enough to keep
@@ -80,65 +79,98 @@ fn parse_num(s: &str) -> Result<u64, String> {
     s.parse().map_err(|_| format!("not a number: {s}\n{USAGE}"))
 }
 
-/// The `--online` mode: replay random event streams through the
-/// incremental engine and demand byte-identity with the offline pipeline.
-/// Scripts run serially — each replay already spins up its own
-/// single-threaded offline engine for the differential check.
-fn run_online(args: &Args) -> ExitCode {
-    let corpus = args.corpus.join("online");
+/// The fuzz loop, shared by both case kinds. Cases are generated
+/// serially (the generator is cheap and the per-iteration seed must stay
+/// `seed + i`), then each batch is evaluated on the engine's
+/// work-stealing pool. Results come back in submission order, so
+/// violation reporting, shrinking and corpus writes are exactly as
+/// deterministic as a serial loop. `label` starts the summary line.
+fn run_fuzz<C: FuzzCase>(args: &Args, label: &str, corpus: &Path) -> ExitCode {
+    let generate = |i: u64| C::generate(&mut ChaCha8::seed_from_u64(args.seed.wrapping_add(i)));
+    let engine = Engine::new();
     let mut failing_iters = 0_u64;
     let mut written: Vec<PathBuf> = Vec::new();
     let mut deduped = 0_usize;
-    for i in 0..args.iters {
-        let mut rng = ChaCha8::seed_from_u64(args.seed.wrapping_add(i));
-        let script = gen_online(&mut rng);
-        let violations = check_online(&script);
-        if violations.is_empty() {
-            if !args.quiet && (i + 1) % 200 == 0 {
-                eprintln!("  ... {} online iterations clean", i + 1);
-            }
-            continue;
-        }
-        failing_iters += 1;
-        let _ = esched_obs::recorder::dump_post_mortem("online oracle violation");
-        eprintln!(
-            "iter {i} (seed {}): {} violation(s) on {}",
-            args.seed.wrapping_add(i),
-            violations.len(),
-            script.summary()
-        );
-        for v in &violations {
-            eprintln!("    {v}");
-            event!(
-                Level::Warn,
-                "oracle_violation",
-                iter = i as usize,
-                class = v.class.name(),
-            );
-        }
-        for class in violation_classes(&violations) {
-            let shrunk = shrink_online(&script, class, args.max_shrink_evals);
-            let message = check_online(&shrunk.script)
-                .into_iter()
-                .find(|v| v.class == class)
-                .map(|v| v.message)
-                .unwrap_or_else(|| "violation vanished after shrink (flaky)".to_string());
-            let repro = OracleViolation { class, message };
-            match write_online_corpus(&corpus, &shrunk.script, &repro) {
-                Ok(Some(path)) => {
-                    eprintln!(
-                        "    shrunk to {} ({} evals) -> {}",
-                        shrunk.script.summary(),
-                        shrunk.evals,
-                        path.display()
-                    );
-                    written.push(path);
+    let mut start = 0_u64;
+    while start < args.iters {
+        let count = BATCH.min(args.iters - start);
+        let cases: Vec<(u64, C)> = (start..start + count).map(|i| (i, generate(i))).collect();
+        let results = engine.batch_map(cases, |_scratch, (i, case)| {
+            let violations = case.check();
+            (i, case, violations)
+        });
+        for result in results {
+            let (i, case, violations) = match result {
+                Ok(triple) => triple,
+                Err(e) => {
+                    // The oracle battery already converts pipeline panics
+                    // into violations, so a job-level panic is a harness
+                    // bug; regenerate the case from its seed (the
+                    // generator already ran cleanly on this thread) and
+                    // report it as a synthetic Panic violation.
+                    let i = start + e.index as u64;
+                    let v = OracleViolation {
+                        class: OracleClass::Panic,
+                        message: format!("oracle battery panicked: {}", e.message),
+                    };
+                    (i, generate(i), vec![v])
                 }
-                Ok(None) => deduped += 1,
-                Err(e) => eprintln!("    corpus write failed: {e}"),
+            };
+            if violations.is_empty() {
+                if !args.quiet && (i + 1) % 200 == 0 {
+                    eprintln!("  ... {} iterations clean", i + 1);
+                }
+                continue;
+            }
+            failing_iters += 1;
+            // Flight dump of the moments before the violation — a no-op
+            // unless ESCHED_FLIGHT_DIR is set.
+            let _ = esched_obs::recorder::dump_post_mortem("fuzz oracle violation");
+            eprintln!(
+                "iter {i} (seed {}): {} violation(s) on {}",
+                args.seed.wrapping_add(i),
+                violations.len(),
+                case.summary()
+            );
+            for v in &violations {
+                eprintln!("    {v}");
+                event!(
+                    Level::Warn,
+                    "oracle_violation",
+                    iter = i as usize,
+                    class = v.class.name(),
+                );
+            }
+            // Shrink once per distinct failing class so each corpus entry
+            // is minimal *for its oracle*, then write the repro.
+            for class in violation_classes(&violations) {
+                let shrunk = case.shrink(class, args.max_shrink_evals);
+                let message = shrunk
+                    .case
+                    .check()
+                    .into_iter()
+                    .find(|v| v.class == class)
+                    .map(|v| v.message)
+                    .unwrap_or_else(|| "violation vanished after shrink (flaky)".to_string());
+                let repro = OracleViolation { class, message };
+                match write_corpus(corpus, &shrunk.case, &repro) {
+                    Ok(Some(path)) => {
+                        eprintln!(
+                            "    shrunk to {} ({} evals) -> {}",
+                            shrunk.case.summary(),
+                            shrunk.evals,
+                            path.display()
+                        );
+                        written.push(path);
+                    }
+                    Ok(None) => deduped += 1,
+                    Err(e) => eprintln!("    corpus write failed: {e}"),
+                }
             }
         }
+        start += count;
     }
+
     event!(
         Level::Info,
         "check_fuzz_done",
@@ -146,7 +178,7 @@ fn run_online(args: &Args) -> ExitCode {
         new_repros = written.len(),
     );
     println!(
-        "esched-check --online: {} iterations, {} failing, {} new corpus repro(s), {} deduped",
+        "{label}: {} iterations, {} failing, {} new corpus repro(s), {} deduped",
         args.iters,
         failing_iters,
         written.len(),
@@ -221,126 +253,8 @@ fn main() -> ExitCode {
         return run_scale(&args, scale);
     }
     if args.online {
-        return run_online(&args);
-    }
-
-    // Instances are generated serially (the generator is cheap and the
-    // per-iteration seed must stay `seed + i`), then each batch is
-    // evaluated on the engine's work-stealing pool. Results come back in
-    // submission order, so violation reporting, shrinking, and corpus
-    // writes below are exactly as deterministic as the old serial loop.
-    let engine = Engine::new();
-    let mut failing_iters = 0_u64;
-    let mut written: Vec<PathBuf> = Vec::new();
-    let mut deduped = 0_usize;
-    let mut start = 0_u64;
-    while start < args.iters {
-        let count = BATCH.min(args.iters - start);
-        let instances: Vec<(u64, Instance)> = (0..count)
-            .map(|k| {
-                let i = start + k;
-                let mut rng = ChaCha8::seed_from_u64(args.seed.wrapping_add(i));
-                (i, gen_instance(&mut rng))
-            })
-            .collect();
-        let results = engine.batch_map(instances, |_scratch, (i, inst)| {
-            let violations = check_instance(&inst);
-            (i, inst, violations)
-        });
-        for result in results {
-            let (i, inst, violations) = match result {
-                Ok(triple) => triple,
-                Err(e) => {
-                    // The oracle battery already converts pipeline panics
-                    // into violations, so a job-level panic is a harness
-                    // bug; regenerate the instance from its seed (the
-                    // generator already ran cleanly on this thread) and
-                    // report it as a synthetic Panic violation.
-                    let i = start + e.index as u64;
-                    let mut rng = ChaCha8::seed_from_u64(args.seed.wrapping_add(i));
-                    let inst = gen_instance(&mut rng);
-                    let v = OracleViolation {
-                        class: esched_check::OracleClass::Panic,
-                        message: format!("oracle battery panicked: {}", e.message),
-                    };
-                    (i, inst, vec![v])
-                }
-            };
-            if violations.is_empty() {
-                if !args.quiet && (i + 1) % 200 == 0 {
-                    eprintln!("  ... {} iterations clean", i + 1);
-                }
-                continue;
-            }
-            failing_iters += 1;
-            // Flight dump of the moments before the violation — a no-op
-            // unless ESCHED_FLIGHT_DIR is set.
-            let _ = esched_obs::recorder::dump_post_mortem("fuzz oracle violation");
-            eprintln!(
-                "iter {i} (seed {}): {} violation(s) on {}",
-                args.seed.wrapping_add(i),
-                violations.len(),
-                inst.summary()
-            );
-            for v in &violations {
-                eprintln!("    {v}");
-                event!(
-                    Level::Warn,
-                    "oracle_violation",
-                    iter = i as usize,
-                    class = v.class.name(),
-                );
-            }
-            // Shrink once per distinct failing class so each corpus entry
-            // is minimal *for its oracle*, then write the repro.
-            for class in violation_classes(&violations) {
-                let shrunk = shrink(&inst, &[class], args.max_shrink_evals);
-                let message = check_instance(&shrunk.instance)
-                    .into_iter()
-                    .find(|v| v.class == class)
-                    .map(|v| v.message)
-                    .unwrap_or_else(|| "violation vanished after shrink (flaky)".to_string());
-                let repro = esched_check::OracleViolation { class, message };
-                match write_corpus(&args.corpus, &shrunk.instance, &repro) {
-                    Ok(Some(path)) => {
-                        eprintln!(
-                            "    shrunk to {} ({} evals) -> {}",
-                            shrunk.instance.summary(),
-                            shrunk.evals,
-                            path.display()
-                        );
-                        written.push(path);
-                    }
-                    Ok(None) => deduped += 1,
-                    Err(e) => eprintln!("    corpus write failed: {e}"),
-                }
-            }
-        }
-        start += count;
-    }
-
-    event!(
-        Level::Info,
-        "check_fuzz_done",
-        failing_iters = failing_iters as usize,
-        new_repros = written.len(),
-    );
-    println!(
-        "esched-check: {} iterations, {} failing, {} new corpus repro(s), {} deduped",
-        args.iters,
-        failing_iters,
-        written.len(),
-        deduped
-    );
-    for p in &written {
-        println!("  new repro: {}", p.display());
-    }
-    if let Some(path) = esched_obs::recorder::dump_at_exit_if_requested() {
-        eprintln!("flight recorder dumped to {}", path.display());
-    }
-    if failing_iters == 0 {
-        ExitCode::SUCCESS
+        run_fuzz::<OnlineScript>(&args, "esched-check --online", &args.corpus.join("online"))
     } else {
-        ExitCode::FAILURE
+        run_fuzz::<Instance>(&args, "esched-check", &args.corpus)
     }
 }

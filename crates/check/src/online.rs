@@ -12,24 +12,21 @@
 //! existing subinterval boundaries, arrivals beyond the current horizon,
 //! completions at near-degenerate fractions of `C_i`, and window shifts
 //! that land endpoints back onto the grid. Scripts are
-//! JSON-round-trippable so shrunk repros commit to the corpus (under
-//! `corpus/online/`, separate from the plain-instance corpus) and replay
-//! in CI.
+//! JSON-round-trippable, so shrunk repros commit to the shared corpus
+//! format (under `corpus/online/`, separate from the plain instances)
+//! and replay in CI.
 
-use crate::corpus::fnv1a;
+use crate::case::Shrunk;
 use crate::gen::{gen_instance, jitter};
 use crate::instance::Instance;
 use crate::oracles::{panic_message, OracleClass, OracleViolation};
 use esched_engine::{Engine, OnlineEngine, OnlineEvent};
-use esched_obs::json::{parse, type_error, FromJson, JsonError, ToJson, Value};
+use esched_obs::json::{type_error, FromJson, JsonError, ToJson, Value};
 use esched_obs::rng::ChaCha8;
 use esched_types::time::EPS;
 use esched_types::validate::WORK_TOL;
 use esched_types::Task;
-use std::fs;
-use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 
 /// A seed instance plus an event stream: one online fuzz case.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,27 +35,6 @@ pub struct OnlineScript {
     pub instance: Instance,
     /// Events applied in order.
     pub events: Vec<OnlineEvent>,
-}
-
-impl OnlineScript {
-    /// Compact human-readable summary (`n=3 m=2 events=5`).
-    pub fn summary(&self) -> String {
-        format!(
-            "n={} m={} events={}",
-            self.instance.tasks.len(),
-            self.instance.cores,
-            self.events.len()
-        )
-    }
-
-    /// Parse a script from its JSON text.
-    ///
-    /// # Errors
-    /// [`JsonError`] on malformed text, an invalid embedded instance, or
-    /// an unrecognized event object.
-    pub fn from_json_str(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&parse(text)?)
-    }
 }
 
 fn event_to_json(event: &OnlineEvent) -> Value {
@@ -467,20 +443,15 @@ fn drop_seed_task(script: &OnlineScript, k: usize) -> Option<OnlineScript> {
     script_is_valid(&out).then_some(out)
 }
 
-/// A shrunk online repro plus the oracle-evaluation budget it consumed.
-#[derive(Debug, Clone)]
-pub struct ShrunkOnline {
-    /// The minimized script (still failing for the target class).
-    pub script: OnlineScript,
-    /// Oracle evaluations spent.
-    pub evals: usize,
-}
-
 /// Greedily minimize a failing script while it keeps failing for `class`:
 /// truncate the event tail, then drop individual events (with task-id
 /// remapping), then drop seed tasks. Each candidate costs one
 /// [`check_online`] evaluation against `max_evals`.
-pub fn shrink_online(script: &OnlineScript, class: OracleClass, max_evals: usize) -> ShrunkOnline {
+pub fn shrink_online(
+    script: &OnlineScript,
+    class: OracleClass,
+    max_evals: usize,
+) -> Shrunk<OnlineScript> {
     let mut best = script.clone();
     let mut evals = 0_usize;
     let still_fails = |s: &OnlineScript, evals: &mut usize| {
@@ -529,81 +500,16 @@ pub fn shrink_online(script: &OnlineScript, class: OracleClass, max_evals: usize
             break;
         }
     }
-    ShrunkOnline {
-        script: best,
-        evals,
-    }
-}
-
-/// Serialize an online corpus entry: the script plus oracle metadata.
-pub fn online_corpus_entry(script: &OnlineScript, violation: &OracleViolation) -> String {
-    let mut obj = match script.to_json() {
-        Value::Obj(pairs) => pairs,
-        _ => unreachable!("OnlineScript serializes to an object"),
-    };
-    obj.insert(
-        0,
-        ("oracle".into(), Value::Str(violation.class.name().into())),
-    );
-    obj.insert(1, ("message".into(), Value::Str(violation.message.clone())));
-    Value::Obj(obj).to_string_pretty()
-}
-
-/// Write a shrunk online repro into `dir` (conventionally
-/// `corpus/online/`, kept separate from the plain-instance corpus),
-/// content-addressed and deduped like [`crate::write_corpus`].
-///
-/// # Errors
-/// Propagates filesystem errors from creating the directory or file.
-pub fn write_online_corpus(
-    dir: &Path,
-    script: &OnlineScript,
-    violation: &OracleViolation,
-) -> io::Result<Option<PathBuf>> {
-    fs::create_dir_all(dir)?;
-    let hash = fnv1a(script.to_json().to_string_pretty().as_bytes());
-    let path = dir.join(format!("{}-{hash:016x}.json", violation.class.name()));
-    if path.exists() {
-        return Ok(None);
-    }
-    fs::write(&path, online_corpus_entry(script, violation))?;
-    Ok(Some(path))
-}
-
-/// Load every `*.json` online corpus entry under `dir`, sorted by
-/// filename. A missing directory is an empty corpus.
-///
-/// # Errors
-/// Propagates filesystem errors; malformed entries surface as
-/// [`io::ErrorKind::InvalidData`] naming the offending file.
-pub fn load_online_corpus_dir(dir: &Path) -> io::Result<Vec<(PathBuf, OnlineScript)>> {
-    if !dir.exists() {
-        return Ok(Vec::new());
-    }
-    let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    paths.sort();
-    let mut out = Vec::with_capacity(paths.len());
-    for path in paths {
-        let text = fs::read_to_string(&path)?;
-        let script = OnlineScript::from_json_str(&text).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("online corpus entry {} is malformed: {e}", path.display()),
-            )
-        })?;
-        out.push((path, script));
-    }
-    Ok(out)
+    Shrunk { case: best, evals }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::write_corpus;
+    use crate::FuzzCase;
     use esched_types::{PolynomialPower, TaskSet};
+    use std::path::Path;
 
     fn sample_script() -> OnlineScript {
         OnlineScript {
@@ -684,35 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn online_corpus_write_then_load_round_trips_and_dedups() {
-        let dir = std::env::temp_dir().join(format!(
-            "esched-check-online-corpus-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        let script = sample_script();
-        let violation = OracleViolation {
-            class: OracleClass::Online,
-            message: "test repro".into(),
-        };
-        let first = write_online_corpus(&dir, &script, &violation).unwrap();
-        assert!(first.is_some());
-        let again = write_online_corpus(&dir, &script, &violation).unwrap();
-        assert!(again.is_none(), "identical repro must dedup");
-        let loaded = load_online_corpus_dir(&dir).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].1, script);
-        assert!(loaded[0]
-            .0
-            .file_name()
-            .unwrap()
-            .to_string_lossy()
-            .starts_with("online-"));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn oracle_is_not_vacuous() {
         // A stream whose event references a task that never existed must
         // surface as an Online violation, not silently pass.
@@ -774,7 +651,7 @@ mod tests {
             .join("corpus")
             .join("online");
         let (script, violation) = seed_repro();
-        match write_online_corpus(&dir, &script, &violation).unwrap() {
+        match write_corpus(&dir, &script, &violation).unwrap() {
             Some(path) => println!("wrote {}", path.display()),
             None => println!("already present (deduped)"),
         }

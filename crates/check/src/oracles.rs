@@ -607,11 +607,6 @@ fn check_discrete(inst: &Instance, der: &HeuristicOutcome, out: &mut Vec<OracleV
     }
 }
 
-/// Convenience: true when `check_instance` reports nothing.
-pub fn instance_passes(inst: &Instance) -> bool {
-    check_instance(inst).is_empty()
-}
-
 /// Helper for tests and the shrinker: the violation classes present.
 pub fn violation_classes(violations: &[OracleViolation]) -> Vec<OracleClass> {
     let mut classes: Vec<OracleClass> = violations.iter().map(|v| v.class).collect();

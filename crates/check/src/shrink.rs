@@ -17,35 +17,23 @@
 //! so the shrunk instance is always a *legal* input — the corpus never
 //! accumulates repros that only fail because they are malformed.
 
+use crate::case::Shrunk;
 use crate::instance::Instance;
 use crate::oracles::{check_instance, OracleClass};
 use esched_types::{PolynomialPower, Task, TaskSet};
 
-/// Result of a shrink run.
-#[derive(Debug, Clone)]
-pub struct Shrunk {
-    /// The minimized instance (still failing with the target class).
-    pub instance: Instance,
-    /// Oracle evaluations spent.
-    pub evals: usize,
-}
-
-/// Minimize `inst` while `check_instance` keeps reporting at least one
-/// violation whose class is in `target`. `max_evals` bounds the number of
-/// oracle evaluations (each one runs the full pipeline).
-pub fn shrink(inst: &Instance, target: &[OracleClass], max_evals: usize) -> Shrunk {
+/// Minimize `inst` while `check_instance` keeps reporting a violation of
+/// `class`. `max_evals` bounds the number of oracle evaluations (each one
+/// runs the full pipeline).
+pub fn shrink(inst: &Instance, class: OracleClass, max_evals: usize) -> Shrunk<Instance> {
     let mut evals = 0;
-    let instance = shrink_by(
+    let case = shrink_by(
         inst,
-        |cand| {
-            check_instance(cand)
-                .iter()
-                .any(|v| target.contains(&v.class))
-        },
+        |cand| check_instance(cand).iter().any(|v| v.class == class),
         max_evals,
         &mut evals,
     );
-    Shrunk { instance, evals }
+    Shrunk { case, evals }
 }
 
 /// Generic greedy fixpoint minimizer over an arbitrary failure predicate.

@@ -1,7 +1,7 @@
 //! Replays the committed shrink corpus as a permanent regression suite.
 //!
 //! Every file in `crates/check/corpus/` is a minimal instance the fuzz
-//! loop once found violating an oracle, shrunk by [`esched_check::shrink`]
+//! loop once found violating an oracle, shrunk by [`FuzzCase::shrink`]
 //! and committed after the underlying bug was fixed. The replay test runs
 //! the full oracle battery over all of them; the named tests below promote
 //! one instance per oracle class with a description of the boundary bug it
@@ -10,14 +10,12 @@
 
 use std::path::Path;
 
-use esched_check::{
-    check_instance, check_online, load_corpus_dir, load_online_corpus_dir, Instance, OnlineScript,
-};
+use esched_check::{load_corpus_dir, FuzzCase, Instance, OnlineScript};
 use esched_engine::OnlineEvent;
 use esched_types::{PolynomialPower, TaskSet};
 
-fn assert_clean(inst: &Instance, context: &str) {
-    let violations = check_instance(inst);
+fn assert_clean<C: FuzzCase>(case: &C, context: &str) {
+    let violations = case.check();
     assert!(
         violations.is_empty(),
         "{context}: {} oracle violation(s): {}",
@@ -30,51 +28,34 @@ fn assert_clean(inst: &Instance, context: &str) {
     );
 }
 
-/// Every committed corpus instance must pass the full oracle battery.
-#[test]
-fn corpus_replays_clean() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
-    let corpus = load_corpus_dir(&dir).expect("corpus directory is readable");
+/// The committed corpus: plain instances here, online scripts under
+/// `online/`.
+const CORPUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
+
+/// Replay every committed case of kind `C` in `dir`.
+fn replay_corpus<C: FuzzCase>(dir: &Path) {
+    let corpus: Vec<(_, C)> = load_corpus_dir(dir).expect("corpus directory is readable");
     assert!(
         !corpus.is_empty(),
         "committed corpus at {} is missing or empty",
         dir.display()
     );
-    for (path, inst) in &corpus {
-        assert_clean(inst, &path.display().to_string());
+    for (path, case) in &corpus {
+        assert_clean(case, &path.display().to_string());
     }
 }
 
-fn assert_online_clean(script: &OnlineScript, context: &str) {
-    let violations = check_online(script);
-    assert!(
-        violations.is_empty(),
-        "{context}: {} oracle violation(s): {}",
-        violations.len(),
-        violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("; ")
-    );
+/// Every committed corpus instance must pass the full oracle battery.
+#[test]
+fn corpus_replays_clean() {
+    replay_corpus::<Instance>(Path::new(CORPUS));
 }
 
 /// Every committed online script must replay clean: the incremental
 /// replan path must stay byte-identical to the offline pipeline.
 #[test]
 fn online_corpus_replays_clean() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("corpus")
-        .join("online");
-    let corpus = load_online_corpus_dir(&dir).expect("online corpus directory is readable");
-    assert!(
-        !corpus.is_empty(),
-        "committed online corpus at {} is missing or empty",
-        dir.display()
-    );
-    for (path, script) in &corpus {
-        assert_online_clean(script, &path.display().to_string());
-    }
+    replay_corpus::<OnlineScript>(&Path::new(CORPUS).join("online"));
 }
 
 /// Class `online`: shifting a deadline to within the dedup tolerance of
@@ -100,7 +81,7 @@ fn online_shift_within_tolerance_of_existing_boundary() {
             deadline: 100.0 - 5e-6,
         }],
     };
-    assert_online_clean(&script, "within-tolerance shifted deadline");
+    assert_clean(&script, "within-tolerance shifted deadline");
 }
 
 /// Class `panic`: two tasks whose subnormal-scale requirements round the

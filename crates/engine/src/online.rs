@@ -19,8 +19,8 @@
 //! * the availability matrix is repaired column-locally by
 //!   [`reallocate_der_patched`]: only columns whose structure or whose
 //!   heavy-column inputs changed are recomputed, and when the dirty
-//!   fraction exceeds [`OnlineEngine::with_fallback_fraction`] the whole
-//!   allocation is recomputed globally instead;
+//!   fraction exceeds [`DEFAULT_FALLBACK_FRACTION`] the whole allocation
+//!   is recomputed globally instead;
 //! * an early completion ([`OnlineEvent::Complete`]) reclaims the unused
 //!   `C_i` mass MORA-style: the task's execution requirement drops to the
 //!   work it actually performed, the water-fill repair hands the freed
@@ -59,7 +59,7 @@ use esched_types::{
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default dirty-column fraction above which a patch recomputes the whole
+/// Dirty-column fraction above which a patch recomputes the whole
 /// DER allocation instead of repairing columns one by one.
 pub const DEFAULT_FALLBACK_FRACTION: f64 = 0.25;
 
@@ -162,7 +162,6 @@ pub struct ReplanReport {
 /// ```
 #[derive(Debug)]
 pub struct OnlineEngine {
-    fallback_fraction: f64,
     verify: bool,
     recertify: bool,
     // The offline request equivalent to the live plan: the task set,
@@ -207,7 +206,6 @@ impl OnlineEngine {
             Stages::new(&request, None).front(&mut TraceCtx::new(RequestId::next()), &mut scratch);
         let (assignment, final_energy) = refine_frequencies(&request.tasks, &avail, &power);
         Self {
-            fallback_fraction: DEFAULT_FALLBACK_FRACTION,
             verify: false,
             recertify: false,
             request,
@@ -239,13 +237,6 @@ impl OnlineEngine {
         );
         self.intra_pool = config.intra_parallelism.map(|_| Pool::new());
         self.request.config = config;
-        self
-    }
-
-    /// Set the dirty-column fraction above which DER repair falls back to
-    /// a global recompute (default [`DEFAULT_FALLBACK_FRACTION`]).
-    pub fn with_fallback_fraction(mut self, fraction: f64) -> Self {
-        self.fallback_fraction = fraction;
         self
     }
 
@@ -404,7 +395,7 @@ impl OnlineEngine {
             &self.ideal,
             &self.avail,
             dirty,
-            self.fallback_fraction,
+            DEFAULT_FALLBACK_FRACTION,
             self.intra_pool.as_ref(),
             self.request
                 .config

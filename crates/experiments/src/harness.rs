@@ -14,43 +14,13 @@
 //! once.
 
 use crate::report::{nec_csv_with_std, nec_table, write_artifact};
-use esched_core::{mean_nec, NecPoint};
+use esched_core::{mean_nec, NecPoint, Pool};
 use esched_engine::{Engine, EngineConfig, ScheduleRequest};
 use esched_obs::{RunReport, TrialRecord, Value};
 use esched_opt::{SolveOptions, SolverKind};
 use esched_types::PolynomialPower;
 use esched_workload::{GeneratorConfig, WorkloadGenerator};
 use std::path::Path;
-
-/// Order-preserving parallel map over `0..n` on scoped threads. Static
-/// chunking is fine here: trials within an experiment have near-uniform
-/// cost.
-pub fn parallel_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n.max(1));
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut results: Vec<Option<T>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let chunk = n.div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|s| {
-        for (c, slots) in results.chunks_mut(chunk).enumerate() {
-            s.spawn(move || {
-                for (j, out) in slots.iter_mut().enumerate() {
-                    *out = Some(f(c * chunk + j));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("worker filled every slot"))
-        .collect()
-}
 
 /// One experiment setting: a platform plus a workload distribution.
 #[derive(Debug, Clone, Copy)]
@@ -287,20 +257,25 @@ impl ExperimentSpec {
     }
 }
 
-/// Run a closure once per trial in parallel and collect the results —
-/// for experiments that measure more than NEC (e.g. deadline misses).
+/// Run a closure once per trial on the work-stealing [`Pool`] and collect
+/// the results in trial order — for experiments that measure more than
+/// NEC (e.g. deadline misses). A panicking trial re-panics here.
 pub fn per_trial<T: Send>(
     config: GeneratorConfig,
     trials: usize,
     base_seed: u64,
     f: impl Fn(u64, esched_types::TaskSet) -> T + Sync,
 ) -> Vec<T> {
-    parallel_map(trials, |k| {
-        let seed = base_seed + k as u64;
-        let mut gen = WorkloadGenerator::new(config, seed);
-        let tasks = gen.generate();
-        f(seed, tasks)
-    })
+    let seeds: Vec<u64> = (0..trials as u64).map(|k| base_seed + k).collect();
+    Pool::new()
+        .batch_map_with(
+            || (),
+            seeds,
+            |_, seed| f(seed, WorkloadGenerator::new(config, seed).generate()),
+        )
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("trial {}: {e}", base_seed + e.index as u64)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -337,13 +312,5 @@ mod tests {
         let mut sorted = seeds.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1000, 1001, 1002, 1003, 1004]);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(37, |i| i * 2);
-        assert_eq!(out, (0..37).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(parallel_map(0, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_map(1, |i| i + 5), vec![5]);
     }
 }

@@ -130,34 +130,45 @@ impl SubWindow {
     /// still holds an older window. Returns false when the sample should
     /// be dropped (the slot has already rotated past `idx`).
     fn rotate_to(&self, idx: u64) -> bool {
-        let lab = idx + 1;
-        loop {
-            let cur = self.label.load(Ordering::Acquire);
-            if cur == lab {
-                return true;
+        rotate_label(&self.label, idx, || {
+            self.count.store(0, Ordering::Relaxed);
+            self.sum.store(0, Ordering::Relaxed);
+            for b in self.buckets.iter() {
+                b.store(0, Ordering::Relaxed);
             }
-            if cur == CLEARING {
-                std::hint::spin_loop();
-                continue;
-            }
-            if cur > lab {
-                // The ring has lapped this writer; its sample is older
-                // than everything retained.
-                return false;
-            }
-            if self
-                .label
-                .compare_exchange(cur, CLEARING, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.count.store(0, Ordering::Relaxed);
-                self.sum.store(0, Ordering::Relaxed);
-                for b in self.buckets.iter() {
-                    b.store(0, Ordering::Relaxed);
-                }
-                self.label.store(lab, Ordering::Release);
-                return true;
-            }
+        })
+    }
+}
+
+/// The ring-slot label rotation shared by [`WindowedSketch`] and
+/// [`WindowedCounter`]: make the slot labelled by `label` current for
+/// window `idx`. The one writer that wins the CAS to [`CLEARING`] runs
+/// `clear` and publishes the new label; concurrent writers spin until it
+/// does. Returns false when the sample should be dropped (the slot has
+/// already rotated past `idx`).
+fn rotate_label(label: &AtomicU64, idx: u64, clear: impl FnOnce()) -> bool {
+    let lab = idx + 1;
+    loop {
+        let cur = label.load(Ordering::Acquire);
+        if cur == lab {
+            return true;
+        }
+        if cur == CLEARING {
+            std::hint::spin_loop();
+            continue;
+        }
+        if cur > lab {
+            // The ring has lapped this writer; its sample is older than
+            // everything retained.
+            return false;
+        }
+        if label
+            .compare_exchange(cur, CLEARING, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            clear();
+            label.store(lab, Ordering::Release);
+            return true;
         }
     }
 }
@@ -382,28 +393,8 @@ impl WindowedCounter {
     pub fn add_at(&self, t_ns: u64, n: u64) {
         let idx = t_ns / self.sub_ns;
         let cell = self.cell(idx);
-        let lab = idx + 1;
-        loop {
-            let cur = cell.label.load(Ordering::Acquire);
-            if cur == lab {
-                break;
-            }
-            if cur == CLEARING {
-                std::hint::spin_loop();
-                continue;
-            }
-            if cur > lab {
-                return;
-            }
-            if cell
-                .label
-                .compare_exchange(cur, CLEARING, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                cell.value.store(0, Ordering::Relaxed);
-                cell.label.store(lab, Ordering::Release);
-                break;
-            }
+        if !rotate_label(&cell.label, idx, || cell.value.store(0, Ordering::Relaxed)) {
+            return;
         }
         cell.value.fetch_add(n, Ordering::Relaxed);
     }

@@ -329,19 +329,6 @@ impl EnergyProgram {
         }
         true
     }
-
-    /// Per-task execution times by subinterval: `result[i][j_local]`
-    /// aligned with the task's span. Used to materialize a schedule from a
-    /// solution.
-    pub fn per_task_allocation(&self, x: &[f64]) -> Vec<Vec<(usize, f64)>> {
-        (0..self.works.len())
-            .map(|i| {
-                let (a, b) = self.spans[i];
-                let o = self.offsets[i];
-                (a..b).map(|j| (j, x[o + (j - a)])).collect()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

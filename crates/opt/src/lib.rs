@@ -21,7 +21,7 @@
 //! * [`gradient`] — projected gradient descent, the iterative default the
 //!   experiment harness uses,
 //! * [`kkt`] — solver-independent optimality certification,
-//! * [`scalar`] — bisection / safeguarded Newton / golden section,
+//! * [`scalar`] — bisection / golden section,
 //! * [`least_squares`] — the `p(f) = γf^α + p₀` power-curve fit
 //!   (Section VI.C),
 //! * [`flow`] — Dinic max-flow and the exact flow-based schedulability

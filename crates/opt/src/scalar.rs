@@ -1,9 +1,8 @@
-//! One-dimensional solvers: bisection root finding, Newton's method, and
-//! golden-section minimization.
+//! One-dimensional solvers: bisection root finding and golden-section
+//! minimization.
 //!
-//! These primitives back the capped-simplex projection (dual bisection),
-//! Frank–Wolfe line search (golden section), and the power-curve fit
-//! (golden section over the exponent).
+//! These primitives back the capped-simplex projection (dual bisection)
+//! and the power-curve fit (golden section over the exponent).
 
 /// Default tolerance for scalar solves.
 pub const TOL: f64 = 1e-12;
@@ -42,57 +41,6 @@ pub fn bisect(mut f: impl FnMut(f64) -> f64, mut lo: f64, mut hi: f64, tol: f64)
         }
     }
     0.5 * (lo + hi)
-}
-
-/// Newton's method with bisection fallback ("safeguarded Newton"): starts
-/// from the bracket midpoint, falls back to bisection whenever the Newton
-/// step leaves the bracket or the derivative vanishes. Robust for the
-/// smooth monotone functions that arise here.
-///
-/// # Panics
-/// If `f(lo)` and `f(hi)` have the same (nonzero) sign.
-pub fn newton_bracketed(
-    mut f: impl FnMut(f64) -> (f64, f64),
-    mut lo: f64,
-    mut hi: f64,
-    tol: f64,
-) -> f64 {
-    let (flo, _) = f(lo);
-    let (fhi, _) = f(hi);
-    if flo == 0.0 {
-        return lo;
-    }
-    if fhi == 0.0 {
-        return hi;
-    }
-    assert!(
-        flo * fhi < 0.0,
-        "newton_bracketed requires a sign change on [{lo}, {hi}]"
-    );
-    let increasing = fhi > 0.0;
-    let mut x = 0.5 * (lo + hi);
-    for _ in 0..100 {
-        let (fx, dfx) = f(x);
-        if fx == 0.0 {
-            return x;
-        }
-        // Maintain the bracket.
-        if (fx > 0.0) == increasing {
-            hi = x;
-        } else {
-            lo = x;
-        }
-        let newton = if dfx != 0.0 { x - fx / dfx } else { f64::NAN };
-        x = if newton.is_finite() && newton > lo && newton < hi {
-            newton
-        } else {
-            0.5 * (lo + hi)
-        };
-        if (hi - lo) < tol * (1.0 + x.abs()) {
-            return x;
-        }
-    }
-    x
 }
 
 /// Golden-section minimization of a unimodal `f` on `[lo, hi]`.
@@ -144,32 +92,6 @@ mod tests {
     #[should_panic(expected = "sign change")]
     fn bisect_rejects_same_sign() {
         let _ = bisect(|x| x * x + 1.0, -1.0, 1.0, TOL);
-    }
-
-    #[test]
-    fn newton_matches_bisection_on_cubic() {
-        let f = |x: f64| (x * x * x - 8.0, 3.0 * x * x);
-        let r = newton_bracketed(f, 0.0, 10.0, TOL);
-        assert!((r - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn newton_handles_decreasing_functions() {
-        let f = |x: f64| (8.0 - x * x * x, -3.0 * x * x);
-        let r = newton_bracketed(f, 0.0, 10.0, TOL);
-        assert!((r - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn newton_survives_zero_derivative_start() {
-        // f'(5) = 0 for f = (x−5)³ + 1 … derivative vanishes at the
-        // midpoint start; the bisection fallback must kick in.
-        let f = |x: f64| {
-            let d = x - 5.0;
-            (d * d * d + 1.0, 3.0 * d * d)
-        };
-        let r = newton_bracketed(f, 0.0, 10.0, TOL);
-        assert!((r - 4.0).abs() < 1e-8);
     }
 
     #[test]
